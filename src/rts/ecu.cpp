@@ -152,6 +152,7 @@ void Ecu::begin_block(const std::vector<IsePlacement>& placements,
     rebuild_kernel(p.kernel, state_[raw(p.kernel)], &p, now);
   }
   last_executed_ = kInvalidKernel;
+  drop_counter_slots();
 }
 
 Ecu::KernelState& Ecu::state_for(KernelId k, Cycles now) {
@@ -235,9 +236,7 @@ ExecOutcome Ecu::execute(KernelId k, Cycles now) {
   stats_.saved_vs_risc +=
       kernel.sw_latency > latency ? kernel.sw_latency - latency : 0;
 
-  if (observing_) {
-    note_execution(st, k, kind, latency, now);
-  }
+  if (observing_) note_executions(st, k, kind, latency, latency, 1, now);
   return ExecOutcome{latency, kind};
 }
 
@@ -258,10 +257,6 @@ Cycles Ecu::execute_run(KernelId k, Cycles cursor, const ExecEvent* events,
     cursor += out.latency;
     ++i;
     if (i >= n) break;
-    // With a flight recorder / counters attached every execution must flow
-    // through the full path — the per-execution instrumentation stream is
-    // part of the contract.
-    if (observing_) continue;
 
     // Steady-state probe. last_executed_ == k now, so subsequent executions
     // in this run never pay the context-switch penalty.
@@ -289,6 +284,10 @@ Cycles Ecu::execute_run(KernelId k, Cycles cursor, const ExecEvent* events,
     }
     impl_executions[ki] += m;
     impl_cycles[ki] += static_cast<Cycles>(m) * latency;
+    if (observing_) {
+      note_executions(st, k, st.steady_kind, latency, latency, m,
+                      cursor + events[i].gap_before);
+    }
     return cursor + remaining_gap + static_cast<Cycles>(m) * latency;
   }
   return cursor;
@@ -346,8 +345,10 @@ Cycles Ecu::execute_events(const ExecEvent* events, const ExecRun* runs,
     // inside the memo's horizon, the per-event path provably makes the same
     // (kind, latency) decision for every execution — commit it in O(1).
     // The epoch is re-read per run: a slow-path run below may acquire a
-    // monoCG context and thereby invalidate every older memo.
-    if (!observing_ && kid < state_.size()) {
+    // monoCG context and thereby invalidate every older memo. Attached
+    // observability keeps this path: note_executions emits what the run's
+    // per-event execute() calls would.
+    if (kid < state_.size()) {
       KernelState& st = state_[kid];
       if (st.steady_valid && st.steady_epoch == fabric_->state_epoch()) {
         const auto m = static_cast<Cycles>(run.count);
@@ -374,6 +375,10 @@ Cycles Ecu::execute_events(const ExecEvent* events, const ExecRun* runs,
           stats_.saved_vs_risc += saved;
           impl_executions[ki] += run.count;
           impl_cycles[ki] += total;
+          if (observing_) {
+            note_executions(st, run.kernel, st.steady_kind, first_latency,
+                            latency, run.count, first_exec_start);
+          }
           last_executed_ = run.kernel;
           cursor += run.gap_total + total;
           obs.note_run(run, first_gap, first_exec_start, cursor);
@@ -391,21 +396,35 @@ Cycles Ecu::execute_events(const ExecEvent* events, const ExecRun* runs,
   return cursor;
 }
 
-void Ecu::note_execution(KernelState& st, KernelId k, ImplKind kind,
-                         Cycles latency, Cycles now) {
+void Ecu::note_executions(KernelState& st, KernelId k, ImplKind kind,
+                          Cycles first_latency, Cycles latency,
+                          std::uint64_t m, Cycles first_start) {
   if (trace_ != nullptr &&
       st.traced_impl != static_cast<std::uint8_t>(kind)) {
     // One decision event per implementation *change*, not per execution —
     // the trace stays bounded while the counters below keep exact totals.
+    // The kind is constant over the m executions, so only the first can
+    // change it.
     st.traced_impl = static_cast<std::uint8_t>(kind);
-    trace_->record({TraceEventKind::kEcuDecision, kTrackEcu, now, 0, raw(k),
-                    static_cast<std::uint32_t>(kind),
-                    static_cast<double>(latency), 0.0});
+    trace_->record({TraceEventKind::kEcuDecision, kTrackEcu, first_start, 0,
+                    raw(k), static_cast<std::uint32_t>(kind),
+                    static_cast<double>(first_latency), 0.0});
   }
   if (counters_ != nullptr) {
-    counters_->add(kExecCounterNames[static_cast<std::size_t>(kind)]);
-    counters_->observe("ecu.exec_latency_cycles",
-                       static_cast<double>(latency));
+    const auto ki = static_cast<std::size_t>(kind);
+    if (exec_counter_slots_[ki] == nullptr) {
+      exec_counter_slots_[ki] = &counters_->counter_slot(kExecCounterNames[ki]);
+    }
+    *exec_counter_slots_[ki] += m;
+    if (latency_slot_ == nullptr) {
+      latency_slot_ = &counters_->histogram_slot("ecu.exec_latency_cycles");
+    }
+    if (first_latency == latency) {
+      latency_slot_->observe(static_cast<double>(latency), m);
+    } else {
+      latency_slot_->observe(static_cast<double>(first_latency));
+      latency_slot_->observe(static_cast<double>(latency), m - 1);
+    }
   }
 }
 
@@ -441,6 +460,11 @@ void Ecu::load_state(SnapshotReader& r) {
   stats_ = stats;
   last_executed_ = last;
   state_ = std::move(state);
+  // The fabric restores its state epoch from the same snapshot, possibly
+  // below the live one — stamps of the discarded history could then match
+  // again and serve stale ready times.
+  std::fill(ready_stamp_.begin(), ready_stamp_.end(), 0);
+  drop_counter_slots();
 }
 
 void Ecu::reset() {
@@ -452,6 +476,7 @@ void Ecu::reset() {
   }
   stats_ = EcuStats{};
   last_executed_ = kInvalidKernel;
+  drop_counter_slots();
 }
 
 }  // namespace mrts

@@ -40,6 +40,7 @@ namespace mrts {
 
 class TraceRecorder;
 class CounterRegistry;
+class Histogram;
 struct ExecEvent;       // sim/schedule.h
 class ObservationSink;  // sim/obs_accum.h
 class SnapshotWriter;
@@ -88,9 +89,11 @@ class Ecu {
   /// O(1): within one run no fabric mutation can occur (block execution is
   /// single threaded) and instance availability is monotone in time at a
   /// fixed fabric state, so the decided (kind, latency) provably repeats.
-  /// Stats, ECU state and the returned cursor are bit-identical to n
-  /// execute() calls; with observability attached it *is* n execute() calls
-  /// (the trace/counter stream stays exact).
+  /// Stats, ECU state, the returned cursor and — with observability
+  /// attached — the trace events and counters are bit-identical to n
+  /// execute() calls: the bulk commit reports its executions through
+  /// note_executions, and no upgrade or monoCG attempt can fall inside a
+  /// steady horizon by its definition.
   Cycles execute_run(KernelId k, Cycles cursor, const ExecEvent* events,
                      std::size_t n, Cycles gap_total,
                      std::uint64_t* impl_executions, Cycles* impl_cycles,
@@ -103,8 +106,9 @@ class Ecu {
   /// and the fabric state epoch it was taken at); later runs that fit the
   /// horizon at an unchanged epoch commit in O(1) — including the
   /// context-switch penalty of their first execution — without touching
-  /// the timeline or the fabric. Any epoch bump, horizon crossing or
-  /// attached observability falls back to the exact per-event path.
+  /// the timeline or the fabric. Any epoch bump or horizon crossing falls
+  /// back to the exact per-event path; attached observability stays on the
+  /// memo path (note_executions reproduces the per-event stream).
   Cycles execute_events(const ExecEvent* events, const ExecRun* runs,
                         std::size_t num_runs, Cycles cursor,
                         std::uint64_t* impl_executions, Cycles* impl_cycles,
@@ -133,6 +137,7 @@ class Ecu {
     trace_ = trace;
     counters_ = counters;
     observing_ = trace != nullptr || counters != nullptr;
+    drop_counter_slots();
   }
 
  private:
@@ -185,10 +190,21 @@ class Ecu {
   /// flux (a monoCG acquisition attempt is due or a reservation is pending
   /// beyond \p now with no usable horizon).
   bool derive_steady(const Kernel& kernel, KernelState& st, Cycles now);
-  /// Cold tail of execute(): records the decision event / counters. Kept out
-  /// of the hot path so the untraced run pays one branch, not code bloat.
-  void note_execution(KernelState& st, KernelId k, ImplKind kind,
-                      Cycles latency, Cycles now);
+  /// Observability tail of execute() (m = 1) and of both steady commits:
+  /// reports \p m executions of \p kind — the first starting at
+  /// \p first_start with \p first_latency (context-switch penalty
+  /// included), the other m - 1 with \p latency — exactly as m
+  /// single-execution reports would: a decision event if the traced kind
+  /// changes, the execution counter += m, m latency observations. Kept out
+  /// of line so the untraced run pays one branch.
+  void note_executions(KernelState& st, KernelId k, ImplKind kind,
+                       Cycles first_latency, Cycles latency, std::uint64_t m,
+                       Cycles first_start);
+  /// Forgets the registry slots below; they are re-resolved on first use.
+  void drop_counter_slots() {
+    exec_counter_slots_.fill(nullptr);
+    latency_slot_ = nullptr;
+  }
 
   const IseLibrary* lib_;
   FabricManager* fabric_;
@@ -215,6 +231,13 @@ class Ecu {
   TraceRecorder* trace_ = nullptr;
   CounterRegistry* counters_ = nullptr;
   bool observing_ = false;  ///< trace_ != nullptr || counters_ != nullptr
+  /// counters_'s ecu.executions.<kind> counters and ecu.exec_latency_cycles
+  /// histogram, resolved once per block instead of one name lookup per
+  /// execution. Dropped wherever the registry may since have been cleared
+  /// or reloaded (CounterRegistry::counter_slot): begin_block,
+  /// attach_observability, reset and load_state.
+  std::array<std::uint64_t*, kNumImplKinds> exec_counter_slots_{};
+  Histogram* latency_slot_ = nullptr;
 };
 
 }  // namespace mrts

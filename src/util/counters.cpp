@@ -26,6 +26,42 @@ void Histogram::observe(double value) {
   ++buckets_[bucket_of(value)];
 }
 
+void Histogram::observe(double value, std::uint64_t times) {
+  // Why the O(1) branch is bit-identical to `times` sequential observe()
+  // calls: min/max are idempotent under repeating one value and count and
+  // buckets are integers, so only the double sum can differ. Take value v
+  // and sum s both non-negative integers, and P = times * v exactly.
+  // Rounding is monotone and every integer up to 2^53 is a double, so
+  // s + P >= 2^53 would make the computed `total` >= 2^53; hence
+  // total < 2^53 proves s + P < 2^53. Every partial sum s + j * v
+  // (j <= times) is then an integer below 2^53, exactly representable, and
+  // each sequential addition — whose exact result is representable —
+  // rounds to that result: the loop ends at exactly s + P == total (signed
+  // zeros included: total is computed by the same double additions).
+  // Anything else — a negative, non-integral, NaN or infinite value or
+  // sum, or a total reaching 2^53 — takes the loop.
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  if (times == 0) return;
+  const double total = sum_ + static_cast<double>(times) * value;
+  // total < 2^53 also bounds 0 <= value, sum_ < 2^53, so the integer
+  // round trips below are defined.
+  if (value >= 0.0 && sum_ >= 0.0 && total < kExact &&
+      static_cast<double>(static_cast<std::uint64_t>(value)) == value &&
+      static_cast<double>(static_cast<std::uint64_t>(sum_)) == sum_) {
+    if (count_ == 0) {
+      min_ = max_ = value;
+    } else {
+      min_ = std::min(min_, value);
+      max_ = std::max(max_, value);
+    }
+    count_ += times;
+    sum_ = total;
+    buckets_[bucket_of(value)] += times;
+    return;
+  }
+  for (; times > 0; --times) observe(value);
+}
+
 double Histogram::percentile(double p) const {
   if (count_ == 0) return 0.0;
   p = std::clamp(p, 0.0, 1.0);
@@ -61,20 +97,25 @@ void Histogram::merge(const Histogram& other) {
 }
 
 void CounterRegistry::add(std::string_view name, std::uint64_t delta) {
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) {
-    it->second += delta;
-  } else {
-    counters_.emplace(std::string(name), delta);
-  }
+  counter_slot(name) += delta;
 }
 
 void CounterRegistry::observe(std::string_view name, double value) {
+  histogram_slot(name).observe(value);
+}
+
+std::uint64_t& CounterRegistry::counter_slot(std::string_view name) {
+  auto it = counters_.find(name);
+  if (it == counters_.end()) it = counters_.emplace(std::string(name), 0).first;
+  return it->second;
+}
+
+Histogram& CounterRegistry::histogram_slot(std::string_view name) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), Histogram{}).first;
   }
-  it->second.observe(value);
+  return it->second;
 }
 
 std::uint64_t CounterRegistry::counter(std::string_view name) const {

@@ -32,6 +32,9 @@ class Histogram {
   static constexpr std::size_t kBuckets = 48;
 
   void observe(double value);
+  /// Bit-identical to \p times successive observe(\p value) calls; O(1)
+  /// whenever the running sum provably stays exact (see counters.cpp).
+  void observe(double value, std::uint64_t times);
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
@@ -82,6 +85,18 @@ class CounterRegistry {
 
   /// Records one observation into histogram \p name (creating it empty).
   void observe(std::string_view name, double value);
+
+  /// Counter / histogram \p name as a direct reference, created on first use
+  /// exactly like add() / observe() (a counter at 0, a histogram empty), so
+  /// resolve a slot only when about to write through it — a created entry
+  /// shows up in counters() / save_state() even at 0. The references are map
+  /// nodes: they stay valid across later insertions and are invalidated only
+  /// by clear(), load_state() and destruction. Hot callers that resolve a
+  /// slot once per functional block (the ECU does) must therefore
+  /// re-resolve whenever the registry can have been cleared or reloaded —
+  /// which happens only between blocks.
+  std::uint64_t& counter_slot(std::string_view name);
+  Histogram& histogram_slot(std::string_view name);
 
   /// Current value of counter \p name; 0 if it was never incremented.
   std::uint64_t counter(std::string_view name) const;

@@ -18,6 +18,7 @@
 #include "arch/fault_model.h"
 #include "cgsim/cg_executor.h"
 #include "cgsim/cg_isa.h"
+#include "fastpath_guard.h"
 #include "riscsim/assembler.h"
 #include "riscsim/cpu.h"
 #include "rts/mrts.h"
@@ -25,27 +26,11 @@
 #include "sim/metrics.h"
 #include "sim/sweep_runner.h"
 #include "util/csv.h"
-#include "util/fastpath.h"
 #include "util/rng.h"
 #include "workload/h264_app.h"
 
 namespace mrts {
 namespace {
-
-/// Scoped override of the process-wide fast-path toggle; restores the
-/// previous setting on destruction so test order never leaks state.
-class FastpathGuard {
- public:
-  explicit FastpathGuard(bool enabled) : previous_(fastpath_enabled()) {
-    set_fastpath_enabled(enabled);
-  }
-  ~FastpathGuard() { set_fastpath_enabled(previous_); }
-  FastpathGuard(const FastpathGuard&) = delete;
-  FastpathGuard& operator=(const FastpathGuard&) = delete;
-
- private:
-  bool previous_;
-};
 
 // --- riscsim: interpreter vs block cache -----------------------------------
 

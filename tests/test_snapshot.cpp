@@ -38,19 +38,19 @@ struct ObservedRun {
   CounterRegistry ctr;
   AppRunProgress progress;
 
-  static MRtsConfig faulty_config() {
+  static MRtsConfig faulty_config(std::uint64_t fault_seed = 7) {
     MRtsConfig c;
-    c.fault = FaultModelConfig::uniform(0.05, 7);
+    c.fault = FaultModelConfig::uniform(0.05, fault_seed);
     return c;
   }
 
-  ObservedRun()
+  explicit ObservedRun(std::uint64_t fault_seed = 7)
       : app(build_h264_application([] {
           H264AppParams p;
           p.frames = 2;
           return p;
         }())),
-        config(faulty_config()),
+        config(faulty_config(fault_seed)),
         rts(app.library, 1, 4, config) {
     rts.attach_observability(&rec, &ctr);
   }
@@ -141,6 +141,50 @@ TEST(Snapshot, SplitRunEqualsWholeRunWithFaults) {
   EXPECT_EQ(b.scrub_repairs, a.scrub_repairs);
   EXPECT_EQ(b.quarantined_prcs, a.quarantined_prcs);
   EXPECT_EQ(b.quarantined_cg, a.quarantined_cg);
+}
+
+TEST(Snapshot, RestoreOverAFinishedRunEqualsAFreshRestore) {
+  // Applying a snapshot to a runtime that already ran (with a different
+  // fault stream) must behave exactly like applying it to a fresh one. The
+  // restored fabric state epoch can be lower than the live one, so every
+  // epoch-keyed cache of the discarded history has to go with it.
+  ObservedRun whole;
+  ASSERT_TRUE(whole.run());
+  const Cycles total = whole.progress.partial.total_cycles;
+  for (const Cycles cut : {total / 4, total / 2, 3 * total / 4}) {
+    ObservedRun half;
+    ASSERT_FALSE(half.run(cut));
+    const std::vector<std::uint8_t> bytes = build_snapshot(
+        test_meta(), half.rts, half.progress, &half.rec, &half.ctr);
+
+    ObservedRun fresh;
+    apply_snapshot(bytes, fresh.rts, fresh.progress, &fresh.rec, &fresh.ctr);
+    ASSERT_TRUE(fresh.run());
+
+    for (std::uint64_t seed = 8; seed <= 11; ++seed) {
+      ObservedRun reused(seed);
+      ASSERT_TRUE(reused.run());
+      apply_snapshot(bytes, reused.rts, reused.progress, &reused.rec,
+                     &reused.ctr);
+      ASSERT_TRUE(reused.run());
+      const std::string what =
+          "cut " + std::to_string(cut) + " seed " + std::to_string(seed);
+      EXPECT_EQ(reused.progress.partial.total_cycles,
+                fresh.progress.partial.total_cycles)
+          << what;
+      EXPECT_EQ(reused.progress.partial.block_cycles,
+                fresh.progress.partial.block_cycles)
+          << what;
+      EXPECT_EQ(reused.progress.partial.impl_executions,
+                fresh.progress.partial.impl_executions)
+          << what;
+      EXPECT_EQ(jsonl(reused.rec), jsonl(fresh.rec)) << what;
+      EXPECT_EQ(reused.ctr.counters(), fresh.ctr.counters()) << what;
+    }
+    // The fresh restore itself still equals the uninterrupted run.
+    EXPECT_EQ(fresh.progress.partial.total_cycles, total);
+    EXPECT_EQ(jsonl(fresh.rec), jsonl(whole.rec));
+  }
 }
 
 TEST(Snapshot, RestoreMarkerIsOptInOnly) {

@@ -6,18 +6,25 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "fastpath_guard.h"
 #include "rts/mrts.h"
 #include "rts/rts_interface.h"
+#include "rts/snapshot.h"
+#include "serve/serve_core.h"
 #include "sim/app_simulator.h"
 #include "sim/sweep_runner.h"
 #include "util/counters.h"
+#include "util/snapshot_io.h"
 #include "util/trace.h"
 #include "workload/h264_app.h"
+#include "workload/sdr_app.h"
 
 namespace mrts {
 namespace {
@@ -216,6 +223,8 @@ TEST(Histogram, BucketEdges) {
   EXPECT_EQ(Histogram::bucket_of(1024.0), 11u);
   // Enormous values clamp into the last bucket instead of overflowing.
   EXPECT_EQ(Histogram::bucket_of(1e300), Histogram::kBuckets - 1);
+  EXPECT_EQ(Histogram::bucket_of(std::numeric_limits<double>::infinity()),
+            Histogram::kBuckets - 1);
 }
 
 TEST(Histogram, StatsAndMerge) {
@@ -237,6 +246,89 @@ TEST(Histogram, StatsAndMerge) {
   Histogram empty;
   EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
   EXPECT_DOUBLE_EQ(empty.min(), 0.0);
+}
+
+std::vector<std::uint8_t> histogram_bytes(const Histogram& h) {
+  SnapshotWriter w;
+  h.save_state(w);
+  return w.take();
+}
+
+/// observe(value, times) on a copy of \p base must leave exactly the state
+/// `times` single observe(value) calls leave — down to the sum's bits.
+void expect_batched_observe_matches_loop(const Histogram& base, double value,
+                                         std::uint64_t times) {
+  Histogram loop = base;
+  for (std::uint64_t i = 0; i < times; ++i) loop.observe(value);
+  Histogram batched = base;
+  batched.observe(value, times);
+  EXPECT_EQ(batched.count(), loop.count()) << value << " x" << times;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.sum()),
+            std::bit_cast<std::uint64_t>(loop.sum()))
+      << value << " x" << times;
+  EXPECT_EQ(batched.buckets(), loop.buckets()) << value << " x" << times;
+  // min/max/sum bit patterns (NaN included) via the snapshot encoding.
+  EXPECT_EQ(histogram_bytes(batched), histogram_bytes(loop))
+      << value << " x" << times;
+}
+
+TEST(Histogram, BatchedObserveIsBitIdenticalToRepeatedObserve) {
+  Histogram empty;
+  Histogram warm;
+  warm.observe(3.0);
+  warm.observe(17.0);
+  Histogram fractional;  // non-integral running sum: always the loop
+  fractional.observe(0.1);
+  fractional.observe(0.2);
+
+  for (const Histogram* base : {&empty, &warm, &fractional}) {
+    for (const std::uint64_t times : {0ull, 1ull, 2ull, 1000ull}) {
+      expect_batched_observe_matches_loop(*base, 0.0, times);
+      expect_batched_observe_matches_loop(*base, 7.0, times);
+      expect_batched_observe_matches_loop(*base, 4096.0, times);
+      expect_batched_observe_matches_loop(*base, 0.3, times);
+      expect_batched_observe_matches_loop(*base, -0.0, times);
+      expect_batched_observe_matches_loop(*base, -5.0, times);
+      expect_batched_observe_matches_loop(*base, std::nan(""), times);
+      expect_batched_observe_matches_loop(
+          *base, std::numeric_limits<double>::infinity(), times);
+    }
+  }
+
+  // Running sum near 2^53: a total below it takes the O(1) branch; reaching
+  // it (exact) or passing it (rounding) takes the loop.
+  const double two53 = std::ldexp(1.0, 53);
+  Histogram near;
+  near.observe(two53 - 20.0);
+  expect_batched_observe_matches_loop(near, 4.0, 4);
+  expect_batched_observe_matches_loop(near, 4.0, 5);
+  expect_batched_observe_matches_loop(near, 4.0, 6);
+  expect_batched_observe_matches_loop(near, 3.0, 1000);
+  Histogram past;
+  past.observe(two53 + 2.0);
+  expect_batched_observe_matches_loop(past, 1.0, 10);
+}
+
+TEST(CounterRegistry, SlotsCreateOnFirstUse) {
+  CounterRegistry reg;
+  reg.observe("h", 5.0);
+  reg.observe("h", 5.0);
+  reg.observe("h", 5.0);
+
+  // Slots are the registry's own nodes: writes through them are visible by
+  // name, and they survive later insertions.
+  std::uint64_t& slot = reg.counter_slot("c");
+  EXPECT_EQ(reg.counter("c"), 0u);
+  EXPECT_EQ(reg.counters().count("c"), 1u);
+  slot += 4;
+  for (int i = 0; i < 64; ++i) reg.add("filler." + std::to_string(i));
+  slot += 1;
+  EXPECT_EQ(reg.counter("c"), 5u);
+  EXPECT_EQ(&reg.counter_slot("c"), &slot);
+  Histogram& h = reg.histogram_slot("h");
+  h.observe(5.0);
+  EXPECT_EQ(reg.histogram("h")->count(), 4u);
+  EXPECT_EQ(&reg.histogram_slot("h"), &h);
 }
 
 TEST(CounterRegistry, AddObserveLookup) {
@@ -339,6 +431,166 @@ TEST(TraceIntegration, TracedRunMatchesUntracedAndCapturesTheRun) {
   recorder.clear();
   run_application(observed, app.trace);
   EXPECT_TRUE(recorder.empty());
+}
+
+/// Everything a fully observed run produces, as comparable bytes.
+struct ObservedOutput {
+  AppRunResult result;
+  std::string jsonl;
+  std::vector<std::uint8_t> counters;  ///< CounterRegistry::save_state
+};
+
+ObservedOutput capture(const AppRunResult& result, const TraceRecorder& rec,
+                       const CounterRegistry& counters) {
+  ObservedOutput out;
+  out.result = result;
+  std::ostringstream os;
+  write_trace_jsonl(os, rec.events());
+  out.jsonl = os.str();
+  SnapshotWriter w;
+  counters.save_state(w);
+  out.counters = w.take();
+  return out;
+}
+
+void expect_same_output(const ObservedOutput& fast,
+                        const ObservedOutput& oracle, const std::string& what) {
+  EXPECT_EQ(fast.result.total_cycles, oracle.result.total_cycles) << what;
+  EXPECT_EQ(fast.result.blocking_overhead, oracle.result.blocking_overhead)
+      << what;
+  EXPECT_EQ(fast.result.block_cycles, oracle.result.block_cycles) << what;
+  EXPECT_EQ(fast.result.impl_executions, oracle.result.impl_executions)
+      << what;
+  EXPECT_EQ(fast.result.impl_cycles, oracle.result.impl_cycles) << what;
+  EXPECT_EQ(fast.jsonl, oracle.jsonl) << what;
+  EXPECT_EQ(fast.counters, oracle.counters) << what;
+}
+
+ObservedOutput observed_run(const IseLibrary& lib,
+                            const ApplicationTrace& trace, unsigned prcs,
+                            unsigned cg, const MRtsConfig& config,
+                            bool fastpath) {
+  const FastpathGuard guard(fastpath);
+  MRts rts(lib, cg, prcs, config);
+  TraceRecorder rec;
+  CounterRegistry counters;
+  rts.attach_observability(&rec, &counters);
+  const AppRunResult result = run_application(rts, trace, &rec);
+  return capture(result, rec, counters);
+}
+
+/// Checkpoints at \p stop, restores into a fresh runtime and finishes.
+ObservedOutput split_observed_run(const IseLibrary& lib,
+                                  const ApplicationTrace& trace,
+                                  unsigned prcs, unsigned cg, Cycles stop,
+                                  bool fastpath) {
+  const FastpathGuard guard(fastpath);
+  MRts first(lib, cg, prcs);
+  TraceRecorder rec;
+  CounterRegistry counters;
+  first.attach_observability(&rec, &counters);
+  AppRunProgress progress;
+  EXPECT_FALSE(run_application_portion(first, trace, progress, &rec, stop));
+  CheckpointMeta meta;
+  meta.prcs = prcs;
+  meta.cg = cg;
+  const std::vector<std::uint8_t> bytes =
+      build_snapshot(meta, first, progress, &rec, &counters);
+
+  MRts resumed(lib, cg, prcs);
+  TraceRecorder resumed_rec;
+  CounterRegistry resumed_counters;
+  resumed.attach_observability(&resumed_rec, &resumed_counters);
+  AppRunProgress resumed_progress;
+  apply_snapshot(bytes, resumed, resumed_progress, &resumed_rec,
+                 &resumed_counters);
+  EXPECT_TRUE(
+      run_application_portion(resumed, trace, resumed_progress, &resumed_rec));
+  return capture(resumed_progress.partial, resumed_rec, resumed_counters);
+}
+
+TEST(TraceIntegration, TracedFastPathMatchesThePerEventOracle) {
+  // The ECU's steady commits (memo path and bulk run commit) stay on with a
+  // recorder and counters attached; their batched observability must equal
+  // what per-event execution (fast path off) records, byte for byte —
+  // including the histogram double sums inside the counter snapshot.
+  H264AppParams params;
+  params.frames = 3;
+  const H264Application h264 = build_h264_application(params);
+  struct Shape {
+    unsigned prcs, cg;
+  };
+  for (const Shape shape : {Shape{1, 1}, Shape{2, 2}, Shape{4, 2},
+                            Shape{6, 3}}) {
+    const std::string what = "h264 " + std::to_string(shape.prcs) + "x" +
+                             std::to_string(shape.cg);
+    const ObservedOutput fast =
+        observed_run(h264.library, h264.trace, shape.prcs, shape.cg, {}, true);
+    const ObservedOutput oracle = observed_run(
+        h264.library, h264.trace, shape.prcs, shape.cg, {}, false);
+    expect_same_output(fast, oracle, what);
+    EXPECT_GT(fast.result.total_cycles, 0u) << what;
+  }
+
+  MRtsConfig faulty;
+  faulty.fault = FaultModelConfig::uniform(0.02, 42);
+  expect_same_output(
+      observed_run(h264.library, h264.trace, 6, 3, faulty, true),
+      observed_run(h264.library, h264.trace, 6, 3, faulty, false),
+      "h264 6x3 fault rate 0.02");
+
+  SdrAppParams sdr_params;
+  sdr_params.bursts = 4;
+  const SdrApplication sdr = build_sdr_application(sdr_params);
+  expect_same_output(observed_run(sdr.library, sdr.trace, 2, 1, {}, true),
+                     observed_run(sdr.library, sdr.trace, 2, 1, {}, false),
+                     "sdr 2x1");
+
+  const Cycles stop =
+      observed_run(h264.library, h264.trace, 4, 2, {}, true)
+          .result.total_cycles /
+      2;
+  expect_same_output(
+      split_observed_run(h264.library, h264.trace, 4, 2, stop, true),
+      split_observed_run(h264.library, h264.trace, 4, 2, stop, false),
+      "h264 4x2 checkpoint/restore");
+}
+
+TEST(TraceIntegration, TracedFastPathMatchesThePerEventOracleInServeCore) {
+  // ServeCore attaches a recorder and counters to every job it runs.
+  auto run_one_job = [](bool fastpath) {
+    const FastpathGuard guard(fastpath);
+    serve::ServeConfig config;
+    config.prcs = 4;
+    config.cg = 1;
+    config.job_classes = 2;
+    config.max_blocks = 8;
+    config.macroblocks = 4;
+    serve::ServeCore core(config);
+    serve::SubmitFrame spec;
+    spec.name = "oracle";
+    spec.share = static_cast<std::uint8_t>(serve::WireShare::kWeighted);
+    spec.weight = 2;
+    spec.job_class = 1;
+    spec.blocks = 4;
+    spec.seed = 9;
+    const std::uint64_t id = core.submit(1, spec);
+    EXPECT_NE(id, 0u);
+    EXPECT_TRUE(core.run_next());
+    serve::JobStatusFrame status;
+    EXPECT_TRUE(core.status(id, &status));
+    return status;
+  };
+  const serve::JobStatusFrame fast = run_one_job(true);
+  const serve::JobStatusFrame oracle = run_one_job(false);
+  EXPECT_EQ(fast.state, oracle.state);
+  EXPECT_EQ(fast.admitted_at, oracle.admitted_at);
+  EXPECT_EQ(fast.finished_at, oracle.finished_at);
+  EXPECT_EQ(fast.latency_cycles, oracle.latency_cycles);
+  EXPECT_EQ(fast.report_json, oracle.report_json);
+  EXPECT_EQ(fast.counters_delta, oracle.counters_delta);
+  EXPECT_FALSE(fast.report_json.empty());
+  EXPECT_NE(fast.counters_delta.find("ecu.executions"), std::string::npos);
 }
 
 TEST(TraceIntegration, TrackNamesAreStable) {
