@@ -263,15 +263,25 @@ Cycles Ecu::execute_run(KernelId k, Cycles cursor, const ExecEvent* events,
     KernelState& st = state_[raw(k)];
     if (!derive_steady(kernel, st, cursor - out.latency)) continue;
 
-    // No better implementation (nor a pending monoCG flip) may arrive
-    // before the run's last execution starts.
-    const std::size_t m = n - i;
+    // Commit every remaining execution that starts inside the horizon: no
+    // better implementation (nor a pending monoCG flip) arrives before it.
+    // When the whole rest of the run fits, that is one O(1) check; otherwise
+    // a forward scan finds the longest such prefix and the loop runs the
+    // boundary execution through execute(), which consumes the upgrade.
     const Cycles latency = st.steady_latency;
-    const Cycles remaining_gap = gap_total - gap_consumed;
-    const Cycles last_exec_start =
-        cursor + remaining_gap + (static_cast<Cycles>(m) - 1) * latency;
-    if (last_exec_start > st.steady_until) {
-      continue;  // the decision changes mid-run — stay on the exact path
+    std::size_t m = n - i;
+    Cycles gaps = gap_total - gap_consumed;
+    if (cursor + gaps + (static_cast<Cycles>(m) - 1) * latency >
+        st.steady_until) {
+      m = 0;
+      gaps = 0;
+      for (Cycles end = cursor;
+           i + m < n && end + events[i + m].gap_before <= st.steady_until;
+           ++m) {
+        gaps += events[i + m].gap_before;
+        end += events[i + m].gap_before + latency;
+      }
+      if (m == 0) continue;
     }
 
     // Bulk commit: identical state and totals as m more execute() calls.
@@ -288,7 +298,9 @@ Cycles Ecu::execute_run(KernelId k, Cycles cursor, const ExecEvent* events,
       note_executions(st, k, st.steady_kind, latency, latency, m,
                       cursor + events[i].gap_before);
     }
-    return cursor + remaining_gap + static_cast<Cycles>(m) * latency;
+    cursor += gaps + static_cast<Cycles>(m) * latency;
+    gap_consumed += gaps;
+    i += m;
   }
   return cursor;
 }

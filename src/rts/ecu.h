@@ -82,18 +82,23 @@ class Ecu {
   ExecOutcome execute(KernelId k, Cycles now);
 
   /// Batched execution of a run of \p n back-to-back executions of \p k
-  /// (contract of RuntimeSystem::execute_run). Executes events through the
-  /// full execute() path until the kernel's decision is *steady* — its
-  /// timeline holds no option arriving before the run's last execution and
-  /// no monoCG transition is pending — then commits the remaining events in
-  /// O(1): within one run no fabric mutation can occur (block execution is
-  /// single threaded) and instance availability is monotone in time at a
-  /// fixed fabric state, so the decided (kind, latency) provably repeats.
-  /// Stats, ECU state, the returned cursor and — with observability
-  /// attached — the trace events and counters are bit-identical to n
-  /// execute() calls: the bulk commit reports its executions through
-  /// note_executions, and no upgrade or monoCG attempt can fall inside a
-  /// steady horizon by its definition.
+  /// (contract of RuntimeSystem::execute_run). After each exact execute()
+  /// the kernel's decision is probed for a *steady horizon*: the last cycle
+  /// before its next timeline option or pending monoCG transition (none
+  /// while a monoCG acquisition is still due). Every following execution
+  /// that starts inside the horizon is committed in one step — the whole
+  /// rest of the run with one O(1) check when it fits, otherwise the
+  /// longest prefix found by a forward scan over the gaps. The boundary
+  /// execution after a prefix runs through execute(), which consumes the
+  /// upgrade (and records its kEcuUpgrade), and the probe repeats. Within a
+  /// run no fabric mutation can occur (block execution is single threaded)
+  /// and instance availability is monotone in time at a fixed fabric
+  /// state, so inside the horizon the decided (kind, latency) provably
+  /// repeats. Stats, ECU state, the returned cursor and — with
+  /// observability attached — the trace events and counters are
+  /// bit-identical to n execute() calls: a bulk commit reports its
+  /// executions through note_executions, and no upgrade or monoCG attempt
+  /// can fall inside a steady horizon by its definition.
   Cycles execute_run(KernelId k, Cycles cursor, const ExecEvent* events,
                      std::size_t n, Cycles gap_total,
                      std::uint64_t* impl_executions, Cycles* impl_cycles,

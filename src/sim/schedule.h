@@ -22,7 +22,7 @@ struct ExecEvent {
 };
 
 /// A maximal run of consecutive executions of the same kernel, decoded once
-/// from an instance's event list (finalize_instance_runs). The batched
+/// from an instance's event list (FunctionalBlockInstance::runs). The batched
 /// frame-execution fast path dispatches whole runs through
 /// RuntimeSystem::execute_run instead of one virtual call per event.
 struct ExecRun {
@@ -43,10 +43,12 @@ struct FunctionalBlockInstance {
   TriggerInstruction programmed;
   /// Actual execution schedule of this instance.
   std::vector<ExecEvent> events;
-  /// Run-compressed view of \p events (derived; see finalize_instance_runs).
-  /// Empty = not decoded yet; run_block then derives it on the fly. Mutating
-  /// \p events invalidates this — call finalize_instance_runs again (or
-  /// clear it) afterwards.
+  /// Run-compressed view of \p events (derived). make_block_instance fills
+  /// it as it generates, so the shared, read-only trace carries the decoded
+  /// runs into every sweep point; hand-built instances may call
+  /// decode_runs(events, runs). Empty = not decoded yet; run_block and
+  /// derive_trigger then derive it on the fly (decoded_runs). Mutating
+  /// \p events invalidates this — decode again (or clear it) afterwards.
   std::vector<ExecRun> runs;
   /// Non-kernel cycles after the last kernel execution.
   Cycles tail_gap = 0;
@@ -72,21 +74,28 @@ struct ApplicationTrace {
 };
 
 /// Decodes \p events into maximal same-kernel runs, appending to \p runs
-/// (cleared first). Exposed so run_block can derive runs into a scratch
-/// buffer for hand-built instances that were never finalized.
+/// (cleared first).
 void decode_runs(const std::vector<ExecEvent>& events,
                  std::vector<ExecRun>& runs);
 
-/// Decodes the instance's event list into its run-compressed form (stored in
-/// instance.runs). Workload builders call this once per instance so the
-/// shared, read-only trace carries the decoded runs into every sweep point.
-void finalize_instance_runs(FunctionalBlockInstance& instance);
+/// The run-compressed view every run-walking reader uses: instance.runs when
+/// it is decoded (non-empty and ending at the last event), otherwise the
+/// events decoded into \p scratch (hand-built instances that were never
+/// decoded). The test is cheap, not a proof: runs left stale by a mutation
+/// that keeps the event count read as decoded — hence the contract on
+/// FunctionalBlockInstance::runs.
+const std::vector<ExecRun>& decoded_runs(
+    const FunctionalBlockInstance& instance, std::vector<ExecRun>& scratch);
 
 /// Derives the programmed trigger instruction of a block instance from its
 /// schedule, assuming RISC-mode execution latencies (this is exactly what an
 /// offline profiling run would measure): e = execution count, tf = cycles
 /// from block start to the first execution start, tb = average gap between
 /// the end of one execution and the start of the next of the same kernel.
+/// Walks the run-compressed view (decoded_runs), one step per run, so it
+/// inherits the staleness contract of FunctionalBlockInstance::runs: after
+/// mutating the events, decode again or clear the runs before calling it.
+/// Throws std::invalid_argument for a kernel beyond the latency table.
 TriggerInstruction derive_trigger(
     const FunctionalBlockInstance& instance,
     const std::vector<Cycles>& risc_latency_by_kernel);

@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "fastpath_guard.h"
 
 #include "arch/fabric_manager.h"
 #include "arch/fault_model.h"
@@ -21,6 +24,8 @@
 #include "sim/cmp.h"
 #include "sim/machine.h"
 #include "sim/multi_app.h"
+#include "util/counters.h"
+#include "util/snapshot_io.h"
 #include "util/trace.h"
 #include "workload/workload_gen.h"
 
@@ -284,6 +289,178 @@ TEST(Cmp, MultiCoreRunsAreDeterministic) {
     EXPECT_EQ(a.cores[c].port_wait_cycles, b.cores[c].port_wait_cycles);
     EXPECT_EQ(a.cores[c].reconfig_slices, b.cores[c].reconfig_slices);
     expect_results_identical(a.cores[c].run, b.cores[c].run);
+  }
+}
+
+std::string jsonl_of(const TraceRecorder& rec) {
+  std::ostringstream os;
+  write_trace_jsonl(os, rec.events());
+  return os.str();
+}
+
+std::vector<std::uint8_t> counters_of(const CounterRegistry& counters) {
+  SnapshotWriter w;
+  counters.save_state(w);
+  return w.take();
+}
+
+TEST(Cmp, FastPathMatchesPerEventOracleUnderContention) {
+  // More cores than PRCs on one arbitrated pool: reconfigurations keep
+  // finishing partway through a run, so the ECU commits run prefixes in
+  // bulk and steps only the boundary executions. With a recorder per core
+  // and counters attached, everything must equal per-event execution.
+  struct Output {
+    CmpResult result;
+    std::vector<std::string> jsonl;  ///< per core
+    std::vector<std::uint8_t> counters;
+  };
+  auto run = [](unsigned n, bool chain, bool fastpath) {
+    const FastpathGuard guard(fastpath);
+    const CmpApp app = make_apps(n, 3);
+    MachineConfig mc;
+    mc.cores = n;
+    mc.prcs = 4;
+    mc.cg_fabrics = 2;
+    mc.tenancy = Tenancy::kArbitrated;
+    mc.interconnect = InterconnectParams::linear_chain(n, chain ? 1 : 0);
+    Machine machine(app.library, mc);
+    std::vector<TraceRecorder> recs(n);
+    CounterRegistry counters;
+    std::vector<CmpCore> cores(n);
+    for (unsigned i = 0; i < n; ++i) {
+      Task task;
+      task.name = "T" + std::to_string(i);
+      const auto reg = machine.register_tenant(task.name, weighted(1));
+      task.rts = &machine.add_rts(reg.id);
+      task.trace = &app.traces[i];
+      task.tenant = reg.id;
+      task.recorder = &recs[i];
+      cores[i].tasks.push_back(std::move(task));
+    }
+    for (unsigned i = 0; i < n; ++i) {
+      machine.mrts(i).attach_observability(&recs[i], &counters);
+    }
+    CmpParams params;
+    params.fabric = &machine.fabric();
+    Output out;
+    out.result =
+        run_cmp(cores, machine.interconnect(), &machine.arbiter(), params);
+    for (const TraceRecorder& rec : recs) out.jsonl.push_back(jsonl_of(rec));
+    out.counters = counters_of(counters);
+    return out;
+  };
+  for (const unsigned n : {16u, 64u}) {
+    for (const bool chain : {false, true}) {
+      const std::string what =
+          std::string(chain ? "chain/" : "flat/") + std::to_string(n);
+      const Output fast = run(n, chain, true);
+      const Output oracle = run(n, chain, false);
+      EXPECT_EQ(fast.result.total_cycles, oracle.result.total_cycles) << what;
+      ASSERT_EQ(fast.result.cores.size(), oracle.result.cores.size()) << what;
+      for (std::size_t c = 0; c < fast.result.cores.size(); ++c) {
+        const CmpCoreResult& a = fast.result.cores[c];
+        const CmpCoreResult& b = oracle.result.cores[c];
+        EXPECT_EQ(a.interconnect_cycles, b.interconnect_cycles) << what;
+        EXPECT_EQ(a.port_wait_cycles, b.port_wait_cycles) << what;
+        EXPECT_EQ(a.reconfig_slices, b.reconfig_slices) << what;
+        expect_results_identical(a.run, b.run);
+        EXPECT_EQ(fast.jsonl[c], oracle.jsonl[c]) << what << " core " << c;
+      }
+      EXPECT_EQ(fast.counters, oracle.counters) << what;
+      EXPECT_GT(fast.result.total_cycles, 0u) << what;
+    }
+  }
+}
+
+TEST(Cmp, PrefixCommitStopsAtTheAvailabilityPoint) {
+  // One kernel on a private 2-PRC machine without CG fabrics: it runs in
+  // RISC mode until its first FG data path arrives at cycle T, the first
+  // point of its timeline. The bulk prefix may only take executions that
+  // start at or before T - 1. Shifting the block's entry gap puts an
+  // execution start exactly on T, one cycle before it and one cycle after
+  // it; each must equal per-event execution, and the first upgraded
+  // execution must start where the schedule says.
+  const CmpApp app = make_apps(1, 1);
+  const KernelId k = app.kernels[0];
+  constexpr Cycles kGap = 25;
+  constexpr Cycles kEntry = 1000;
+  constexpr std::size_t kExecutions = 4000;
+  const Cycles period = kGap + app.library.kernel(k).sw_latency;
+  const TriggerInstruction programmed = app.traces[0].blocks[0].programmed;
+
+  struct Output {
+    AppRunResult result;
+    std::vector<TraceEvent> events;
+    std::string jsonl;
+    std::vector<std::uint8_t> counters;
+  };
+  auto run = [&](Cycles entry, bool fastpath) {
+    const FastpathGuard guard(fastpath);
+    ApplicationTrace trace;
+    FunctionalBlockInstance block;
+    block.functional_block = FunctionalBlockId{0};
+    block.programmed = programmed;
+    block.events.assign(kExecutions, ExecEvent{k, kGap});
+    block.events.front().gap_before = entry;
+    decode_runs(block.events, block.runs);
+    trace.blocks.push_back(std::move(block));
+    MRts rts(app.library, /*num_cg_fabrics=*/0, /*num_prcs=*/2);
+    TraceRecorder rec;
+    CounterRegistry counters;
+    rts.attach_observability(&rec, &counters);
+    Output out;
+    out.result = run_application(rts, trace, &rec);
+    out.events = rec.events();
+    out.jsonl = jsonl_of(rec);
+    out.counters = counters_of(counters);
+    return out;
+  };
+  // Cycle of the first timeline upgrade and start of the first execution
+  // decided by something other than RISC mode.
+  auto upgrade_points = [](const std::vector<TraceEvent>& events) {
+    Cycles upgrade = kNeverCycles;
+    Cycles first_upgraded_start = kNeverCycles;
+    for (const TraceEvent& e : events) {
+      if (e.kind == TraceEventKind::kEcuUpgrade && upgrade == kNeverCycles) {
+        upgrade = e.at;
+      }
+      if (e.kind == TraceEventKind::kEcuDecision &&
+          e.arg1 != static_cast<std::uint32_t>(ImplKind::kRisc) &&
+          first_upgraded_start == kNeverCycles) {
+        first_upgraded_start = e.at;
+      }
+    }
+    return std::make_pair(upgrade, first_upgraded_start);
+  };
+
+  const auto [t, probe_start] = upgrade_points(run(kEntry, false).events);
+  ASSERT_NE(t, kNeverCycles) << "no FG data path arrived inside the block";
+  ASSERT_GE(probe_start, t);
+  ASSERT_LT(probe_start - t, period);
+  ASSERT_GT(t, kEntry + 2 * period) << "upgrade before the run got steady";
+  // probe_start - t = delta: starting every execution delta cycles earlier
+  // lands one start exactly on T.
+  const Cycles on_t = kEntry - (probe_start - t);
+  struct Case {
+    const char* what;
+    Cycles entry;
+    Cycles expected_first_upgraded_start;
+  };
+  for (const Case c : {Case{"start on T", on_t, t},
+                       Case{"start at T - 1", on_t - 1, t - 1 + period},
+                       Case{"start at T + 1", on_t + 1, t + 1}}) {
+    const Output fast = run(c.entry, true);
+    const Output oracle = run(c.entry, false);
+    EXPECT_EQ(fast.result.total_cycles, oracle.result.total_cycles) << c.what;
+    EXPECT_EQ(fast.result.block_cycles, oracle.result.block_cycles) << c.what;
+    EXPECT_EQ(fast.result.impl_executions, oracle.result.impl_executions)
+        << c.what;
+    EXPECT_EQ(fast.result.impl_cycles, oracle.result.impl_cycles) << c.what;
+    EXPECT_EQ(fast.jsonl, oracle.jsonl) << c.what;
+    EXPECT_EQ(fast.counters, oracle.counters) << c.what;
+    const auto [fast_t, fast_start] = upgrade_points(fast.events);
+    EXPECT_EQ(fast_t, t) << c.what;
+    EXPECT_EQ(fast_start, c.expected_first_upgraded_start) << c.what;
   }
 }
 

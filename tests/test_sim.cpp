@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <string>
+
 #include "baselines/risc_only_rts.h"
 #include "isa/ise_builder.h"
 #include "sim/app_simulator.h"
 #include "sim/fb_simulator.h"
 #include "sim/metrics.h"
 #include "sim/schedule.h"
+#include "util/rng.h"
 
 namespace mrts {
 namespace {
@@ -158,6 +163,125 @@ TEST(DeriveTrigger, ThrowsOnUnknownKernel) {
   FunctionalBlockInstance inst;
   inst.events = {{KernelId{99}, 0}};
   EXPECT_THROW(derive_trigger(inst, {10, 20}), std::invalid_argument);
+}
+
+/// Reference: the per-event walk derive_trigger made before it walked runs.
+TriggerInstruction derive_trigger_per_event(
+    const FunctionalBlockInstance& instance,
+    const std::vector<Cycles>& risc_latency_by_kernel) {
+  struct Acc {
+    double executions = 0.0;
+    Cycles first_start = 0;
+    Cycles last_end = 0;
+    Cycles gap_sum = 0;
+    bool seen = false;
+  };
+  std::map<std::uint32_t, Acc> acc;
+  Cycles cursor = 0;
+  for (const auto& ev : instance.events) {
+    cursor += ev.gap_before;
+    const auto kid = raw(ev.kernel);
+    if (kid >= risc_latency_by_kernel.size()) {
+      throw std::invalid_argument("derive_trigger: kernel without latency");
+    }
+    Acc& a = acc[kid];
+    if (!a.seen) {
+      a.first_start = cursor;
+      a.seen = true;
+    } else {
+      a.gap_sum += cursor - a.last_end;
+    }
+    a.executions += 1.0;
+    cursor += risc_latency_by_kernel[kid];
+    a.last_end = cursor;
+  }
+  TriggerInstruction ti;
+  ti.functional_block = instance.functional_block;
+  for (const auto& [kid, a] : acc) {
+    TriggerEntry entry;
+    entry.kernel = KernelId{kid};
+    entry.expected_executions = a.executions;
+    entry.time_to_first = a.first_start;
+    entry.time_between =
+        a.executions > 1.0
+            ? static_cast<Cycles>(static_cast<double>(a.gap_sum) /
+                                  (a.executions - 1.0))
+            : Cycles{0};
+    ti.entries.push_back(entry);
+  }
+  return ti;
+}
+
+void expect_same_trigger(const TriggerInstruction& actual,
+                         const TriggerInstruction& expected,
+                         const std::string& what) {
+  EXPECT_EQ(actual.functional_block, expected.functional_block) << what;
+  ASSERT_EQ(actual.entries.size(), expected.entries.size()) << what;
+  for (std::size_t i = 0; i < actual.entries.size(); ++i) {
+    const TriggerEntry& a = actual.entries[i];
+    const TriggerEntry& b = expected.entries[i];
+    EXPECT_EQ(a.kernel, b.kernel) << what << " entry " << i;
+    EXPECT_EQ(a.expected_executions, b.expected_executions)
+        << what << " entry " << i;
+    EXPECT_EQ(a.time_to_first, b.time_to_first) << what << " entry " << i;
+    EXPECT_EQ(a.time_between, b.time_between) << what << " entry " << i;
+  }
+}
+
+/// A seeded schedule of 1-6 interleaved kernels: runs of random length
+/// (single executions included), kernels that recur in non-adjacent runs
+/// and gaps that are often zero.
+FunctionalBlockInstance random_instance(std::uint64_t seed) {
+  Rng rng(seed);
+  FunctionalBlockInstance inst;
+  inst.functional_block = FunctionalBlockId{static_cast<std::uint32_t>(seed)};
+  const auto kernels = 1 + rng.next_below(6);
+  const auto runs = rng.next_below(40);
+  for (std::uint64_t r = 0; r < runs; ++r) {
+    // Ids are drawn from a shuffled range so entry order must come from
+    // sorting, not from first appearance.
+    const KernelId k{static_cast<std::uint32_t>(
+        (rng.next_below(kernels) * 5 + seed) % 6)};
+    const auto count = 1 + (rng.bernoulli(0.3) ? 0 : rng.next_below(30));
+    for (std::uint64_t e = 0; e < count; ++e) {
+      const Cycles gap = rng.bernoulli(0.4) ? 0 : rng.next_below(500);
+      inst.events.push_back({k, gap});
+    }
+  }
+  return inst;
+}
+
+TEST(DeriveTrigger, RunWalkMatchesPerEventWalk) {
+  const std::vector<Cycles> latency = {7, 100, 1, 55, 0, 13};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    FunctionalBlockInstance inst = random_instance(seed);
+    const std::string what = "seed " + std::to_string(seed);
+    const TriggerInstruction expected =
+        derive_trigger_per_event(inst, latency);
+    // Hand-built (no decoded runs), then decoded.
+    expect_same_trigger(derive_trigger(inst, latency), expected,
+                        what + " hand-built");
+    decode_runs(inst.events, inst.runs);
+    expect_same_trigger(derive_trigger(inst, latency), expected,
+                        what + " decoded");
+  }
+}
+
+TEST(DeriveTrigger, ThrowsForAKernelWithoutLatencyThenRecovers) {
+  const std::vector<Cycles> latency = {10, 20};
+  FunctionalBlockInstance bad;
+  bad.events = {{KernelId{0}, 5}, {KernelId{0}, 0}, {KernelId{1}, 3},
+                {KernelId{2}, 0}, {KernelId{0}, 9}};
+  EXPECT_THROW(derive_trigger(bad, latency), std::invalid_argument);
+  decode_runs(bad.events, bad.runs);
+  EXPECT_THROW(derive_trigger(bad, latency), std::invalid_argument);
+
+  // Nothing of the failed call leaks into the next one.
+  FunctionalBlockInstance good = bad;
+  good.events[3].kernel = KernelId{1};
+  good.runs.clear();
+  expect_same_trigger(derive_trigger(good, latency),
+                      derive_trigger_per_event(good, latency), "after throw");
 }
 
 }  // namespace

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "workload/content_model.h"
 #include "workload/deblocking_case_study.h"
 #include "workload/h264_app.h"
+#include "workload/sdr_app.h"
 #include "workload/workload_gen.h"
 
 namespace mrts {
@@ -105,6 +109,75 @@ TEST(WorkloadGen, GapJitterIsBoundedAndDeterministic) {
     EXPECT_GE(a.events[i].gap_before, 75u);
     EXPECT_LE(a.events[i].gap_before, 125u);
   }
+}
+
+TEST(WorkloadGen, RejectsInvalidWork) {
+  IseLibrary lib;
+  const KernelId k = lib.add_kernel("K", 100);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto build = [&](double repetitions, double jitter) {
+    Rng rng(1);
+    return make_block_instance(FunctionalBlockId{0}, 4,
+                               {{k, repetitions, 10, jitter}}, 0, 0, rng);
+  };
+  for (const double repetitions : {-1.0, -1e-9, nan, inf, -inf, 1e12}) {
+    EXPECT_THROW(build(repetitions, 0.1), std::invalid_argument)
+        << "repetitions_per_mb " << repetitions;
+  }
+  for (const double jitter : {-0.1, nan, inf}) {
+    EXPECT_THROW(build(1.0, jitter), std::invalid_argument)
+        << "gap_jitter " << jitter;
+  }
+  // The edges of the valid range stay accepted.
+  EXPECT_TRUE(build(0.0, 0.0).events.empty());
+  EXPECT_EQ(build(2.0, 1.5).events.size(), 8u);
+}
+
+void expect_runs_of_events(const ApplicationTrace& trace,
+                           const std::string& what) {
+  ASSERT_FALSE(trace.blocks.empty()) << what;
+  for (std::size_t b = 0; b < trace.blocks.size(); ++b) {
+    const FunctionalBlockInstance& inst = trace.blocks[b];
+    std::vector<ExecRun> decoded;
+    decode_runs(inst.events, decoded);
+    ASSERT_EQ(inst.runs.size(), decoded.size()) << what << " block " << b;
+    for (std::size_t r = 0; r < decoded.size(); ++r) {
+      EXPECT_EQ(inst.runs[r].kernel, decoded[r].kernel) << what << " " << r;
+      EXPECT_EQ(inst.runs[r].first_event, decoded[r].first_event)
+          << what << " " << r;
+      EXPECT_EQ(inst.runs[r].count, decoded[r].count) << what << " " << r;
+      EXPECT_EQ(inst.runs[r].gap_total, decoded[r].gap_total)
+          << what << " " << r;
+      EXPECT_EQ(inst.runs[r].first_gap, decoded[r].first_gap)
+          << what << " " << r;
+    }
+    // The event array was reserved once, at its exact size.
+    EXPECT_EQ(inst.events.capacity(), inst.events.size())
+        << what << " block " << b;
+  }
+}
+
+TEST(WorkloadGen, RunsAreBuiltWithTheEvents) {
+  H264AppParams h264;
+  h264.frames = 3;
+  expect_runs_of_events(build_h264_application(h264).trace, "h264");
+  SdrAppParams sdr;
+  sdr.bursts = 3;
+  expect_runs_of_events(build_sdr_application(sdr).trace, "sdr");
+
+  // Adjacent work entries of one kernel, and a kernel whose fractional
+  // repetitions leave macroblocks without it, merge runs across entries.
+  IseLibrary lib;
+  const KernelId a = lib.add_kernel("A", 100);
+  const KernelId b = lib.add_kernel("B", 100);
+  Rng rng(3);
+  ApplicationTrace synthetic;
+  synthetic.blocks.push_back(make_block_instance(
+      FunctionalBlockId{0}, 40, {{a, 0.3, 10, 0.2}, {b, 1.5, 0, 0.2},
+                                 {b, 0.5, 7, 0.1}, {a, 2.0, 3, 0.0}},
+      50, 0, rng));
+  expect_runs_of_events(synthetic, "synthetic");
 }
 
 TEST(H264App, ThreeBlocksPerFrameInOrder) {
