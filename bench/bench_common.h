@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -94,29 +95,70 @@ struct EvalContext {
   }
 };
 
+namespace detail {
+
+/// Strict full-token parsers, mirroring the mrts_cli contract: malformed
+/// values (negative/NaN rates, signed or overflowing seeds and job counts)
+/// are input errors — exit code 2, never silently clamped.
+inline bool parse_probability_token(const char* s, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0') return false;
+  if (!(v >= 0.0 && v <= 1.0)) return false;  // NaN fails every comparison
+  *out = v;
+  return true;
+}
+
+inline bool parse_u64_token(const char* s, std::uint64_t* out) {
+  if (s[0] == '\0' || s[0] == '-' || s[0] == '+') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+[[noreturn]] inline void flag_error(const char* flag, const char* value,
+                                    const char* expected) {
+  std::fprintf(stderr, "error: invalid %s '%s' (expected %s)\n", flag, value,
+               expected);
+  std::exit(2);
+}
+
+}  // namespace detail
+
 /// Parses and strips a `--jobs N` / `--jobs=N` flag from the command line.
 /// Must run *before* benchmark::Initialize (google-benchmark rejects flags
 /// it does not know). Returns the sweep worker count: 0 means "one worker
 /// per hardware thread" (SweepRunner resolves it); `--jobs 1` is the exact
 /// legacy serial path. The MRTS_BENCH_JOBS environment variable supplies
-/// the default when the flag is absent.
+/// the default when the flag is absent. A malformed, negative or
+/// out-of-range count (or a `--jobs` without a value) exits with code 2
+/// before any worker starts.
 inline unsigned parse_jobs(int* argc, char** argv) {
+  const auto parse = [](const char* flag, const char* value) {
+    std::uint64_t v = 0;
+    if (!detail::parse_u64_token(value, &v) ||
+        v > std::numeric_limits<unsigned>::max()) {
+      detail::flag_error(flag, value,
+                         "a worker count, 0 = one per hardware thread");
+    }
+    return static_cast<unsigned>(v);
+  };
   unsigned jobs = 0;
   if (const char* env = std::getenv("MRTS_BENCH_JOBS")) {
-    const int v = std::atoi(env);
-    if (v > 0) jobs = static_cast<unsigned>(v);
+    jobs = parse("MRTS_BENCH_JOBS", env);
   }
   int out = 1;  // argv[0] always kept
   for (int i = 1; i < *argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--jobs") == 0 && i + 1 < *argc) {
-      const int v = std::atoi(argv[++i]);
-      if (v > 0) jobs = static_cast<unsigned>(v);
+    if (std::strcmp(arg, "--jobs") == 0) {
+      jobs = parse("--jobs", i + 1 < *argc ? argv[++i] : "");
       continue;
     }
     if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      const int v = std::atoi(arg + 7);
-      if (v > 0) jobs = static_cast<unsigned>(v);
+      jobs = parse("--jobs", arg + 7);
       continue;
     }
     if (std::strcmp(arg, "--no-bb-cache") == 0) {
@@ -148,39 +190,6 @@ struct FaultFlags {
   }
 };
 
-namespace detail {
-
-/// Strict full-token parsers, mirroring the mrts_cli contract: malformed
-/// values (negative/NaN rates, signed or overflowing seeds) are input
-/// errors — exit code 2, never silently clamped.
-inline bool parse_probability_token(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;  // NaN fails every comparison
-  *out = v;
-  return true;
-}
-
-inline bool parse_u64_token(const char* s, std::uint64_t* out) {
-  if (s[0] == '\0' || s[0] == '-' || s[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-[[noreturn]] inline void fault_flag_error(const char* flag, const char* value,
-                                          const char* expected) {
-  std::fprintf(stderr, "error: invalid %s '%s' (expected %s)\n", flag, value,
-               expected);
-  std::exit(2);
-}
-
-}  // namespace detail
-
 /// Parses and strips `--fault-rate P`, `--fault-seed N` and
 /// `--max-retries N` flags (each also accepts the `--flag=value` form).
 /// Must run before benchmark::Initialize, like parse_jobs. Invalid values
@@ -192,21 +201,21 @@ inline FaultFlags parse_fault_flags(int* argc, char** argv) {
   FaultFlags flags;
   if (const char* env = std::getenv("MRTS_BENCH_FAULT_RATE")) {
     if (!detail::parse_probability_token(env, &flags.rate)) {
-      detail::fault_flag_error("MRTS_BENCH_FAULT_RATE", env,
-                               "a probability in [0,1]");
+      detail::flag_error("MRTS_BENCH_FAULT_RATE", env,
+                         "a probability in [0,1]");
     }
   }
   if (const char* env = std::getenv("MRTS_BENCH_FAULT_SEED")) {
     if (!detail::parse_u64_token(env, &flags.seed)) {
-      detail::fault_flag_error("MRTS_BENCH_FAULT_SEED", env,
-                               "an unsigned 64-bit integer");
+      detail::flag_error("MRTS_BENCH_FAULT_SEED", env,
+                         "an unsigned 64-bit integer");
     }
   }
   if (const char* env = std::getenv("MRTS_BENCH_MAX_RETRIES")) {
     std::uint64_t v = 0;
     if (!detail::parse_u64_token(env, &v) || v > 1000) {
-      detail::fault_flag_error("MRTS_BENCH_MAX_RETRIES", env,
-                               "an integer in [0,1000]");
+      detail::flag_error("MRTS_BENCH_MAX_RETRIES", env,
+                         "an integer in [0,1000]");
     }
     flags.max_retries = static_cast<unsigned>(v);
   }
@@ -228,23 +237,23 @@ inline FaultFlags parse_fault_flags(int* argc, char** argv) {
     };
     if (match("--fault-rate")) {
       if (!detail::parse_probability_token(value, &flags.rate)) {
-        detail::fault_flag_error("--fault-rate", value,
-                                 "a probability in [0,1]");
+        detail::flag_error("--fault-rate", value,
+                           "a probability in [0,1]");
       }
       continue;
     }
     if (match("--fault-seed")) {
       if (!detail::parse_u64_token(value, &flags.seed)) {
-        detail::fault_flag_error("--fault-seed", value,
-                                 "an unsigned 64-bit integer");
+        detail::flag_error("--fault-seed", value,
+                           "an unsigned 64-bit integer");
       }
       continue;
     }
     if (match("--max-retries")) {
       std::uint64_t v = 0;
       if (!detail::parse_u64_token(value, &v) || v > 1000) {
-        detail::fault_flag_error("--max-retries", value,
-                                 "an integer in [0,1000]");
+        detail::flag_error("--max-retries", value,
+                           "an integer in [0,1000]");
       }
       flags.max_retries = static_cast<unsigned>(v);
       continue;

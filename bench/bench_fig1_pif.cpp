@@ -7,11 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
 
-#include "util/csv.h"
-#include "util/fastpath.h"
-#include "util/table.h"
+#include "bench_common.h"
 #include "workload/deblocking_case_study.h"
 
 namespace {
@@ -65,17 +62,7 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --no-bb-cache before Google Benchmark sees (and rejects) it.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-bb-cache") == 0) {
-      mrts::set_fastpath_enabled(false);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  argv[out] = nullptr;
+  (void)mrts::bench::parse_jobs(&argc, argv);  // strips --no-bb-cache too
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

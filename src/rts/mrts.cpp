@@ -32,8 +32,6 @@ MRts::MRts(const IseLibrary& lib, unsigned num_cg_fabrics, unsigned num_prcs,
                  config.profit_model),
       optimal_(lib),
       ecu_(lib, *fabric_, config.ecu) {
-  heuristic_.set_tuning(config_.selector_tuning);
-  optimal_.set_tuning(config_.selector_tuning);
   heuristic_.attach_profit_cache(&profit_cache_);
   optimal_.attach_profit_cache(&profit_cache_);
   defrag_ = DefragPolicy(config_.defrag);
@@ -53,8 +51,6 @@ MRts::MRts(const IseLibrary& lib, FabricManager& shared_fabric,
                  config.profit_model),
       optimal_(lib),
       ecu_(lib, *fabric_, config.ecu) {
-  heuristic_.set_tuning(config_.selector_tuning);
-  optimal_.set_tuning(config_.selector_tuning);
   heuristic_.attach_profit_cache(&profit_cache_);
   optimal_.attach_profit_cache(&profit_cache_);
   defrag_ = DefragPolicy(config_.defrag);

@@ -52,11 +52,6 @@ struct MRtsConfig {
   /// transient upsets and permanent container quarantines then exercise the
   /// ECU degradation ladder.
   FaultModelConfig fault;
-  /// Selector hot-path switches (rts/profit_cache.h): profit memoization and
-  /// the incremental (commit/rollback) planner. Pure optimizations — every
-  /// selection and output byte is identical at any setting; baseline()
-  /// reproduces the pre-optimization implementation for A/B timing.
-  SelectorTuning selector_tuning;
   /// Migration-based self-healing (rts/migration.h): after a scrub that
   /// quarantined additional containers, compact the surviving FG
   /// configurations so the free space stays contiguous. Default-off keeps

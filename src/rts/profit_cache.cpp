@@ -80,11 +80,9 @@ const double* ProfitCache::lookup(const Key& key) {
   const auto it = map_.find(key);
   if (it == map_.end()) {
     ++select_misses_;
-    ++total_misses_;
     return nullptr;
   }
   ++select_hits_;
-  ++total_hits_;
   return &it->second;
 }
 

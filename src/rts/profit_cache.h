@@ -13,9 +13,10 @@
 ///
 /// and plan()'s output is itself a pure function of the planner state the
 /// key captures below — so a cache hit returns the *bit-identical* double a
-/// recomputation would produce. That exactness is the whole contract: with
-/// the cache on, every selection, every counter and every committed fig CSV
-/// must stay byte-identical (pinned by tests/test_profit_cache.cpp).
+/// recomputation would produce. That exactness is the whole contract: a
+/// selector with the cache attached makes every selection, every counter and
+/// every committed fig CSV byte-identical to the same selector without one
+/// (attach_profit_cache(nullptr); pinned by tests/test_profit_cache.cpp).
 ///
 /// The cache is per-MRts-instance (one fabric, one library), never shared
 /// across threads — the same ownership rule as every other mutable
@@ -37,18 +38,6 @@ namespace mrts {
 
 class CounterRegistry;
 class TraceRecorder;
-
-/// Hot-path switches of both selectors. The defaults are the optimized
-/// configuration; baseline() reproduces the pre-optimization implementation
-/// (planner copied per branch-and-bound node, no memoization, per-candidate
-/// allocations) so the wall-clock bench can measure an honest interleaved
-/// A/B in one binary. Both settings are pure optimizations: selections,
-/// counters and CSV outputs are identical either way.
-struct SelectorTuning {
-  bool memoize_profits = true;     ///< consult the ProfitCache
-  bool incremental_planner = true; ///< commit/rollback instead of copying
-  static SelectorTuning baseline() { return {false, false}; }
-};
 
 class ProfitCache {
  public:
@@ -91,16 +80,13 @@ class ProfitCache {
 
   /// Tallies a miss for an evaluation the cache could not serve because
   /// make_key declined the point.
-  void note_uncacheable() { ++select_misses_; ++total_misses_; }
+  void note_uncacheable() { ++select_misses_; }
 
   void insert(const Key& key, double profit) { map_.emplace(key, profit); }
 
-  /// Per-select tallies (since begin_select) and lifetime totals (never
-  /// reset; the wall-clock bench derives its hit rate from these).
+  /// Per-select tallies (since begin_select).
   std::uint64_t select_hits() const { return select_hits_; }
   std::uint64_t select_misses() const { return select_misses_; }
-  std::uint64_t total_hits() const { return total_hits_; }
-  std::uint64_t total_misses() const { return total_misses_; }
 
   /// Ends a select() scope: publishes the per-select tallies as
   /// selector.cache.{hit,miss} counter deltas and one kSelectorCacheStats
@@ -113,8 +99,6 @@ class ProfitCache {
   std::unordered_map<Key, double, KeyHash> map_;
   std::uint64_t select_hits_ = 0;
   std::uint64_t select_misses_ = 0;
-  std::uint64_t total_hits_ = 0;
-  std::uint64_t total_misses_ = 0;
 };
 
 /// Scratch buffers for the allocation-free candidate evaluation; create one

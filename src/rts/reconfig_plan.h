@@ -13,7 +13,7 @@
 ///    round cannot be reused again.
 ///
 /// The planner is a value type (copyable), but the branch-and-bound selector
-/// no longer copies it per search node: commit() records an undo log, and
+/// does not copy it per search node: commit() records an undo log, and
 /// mark()/rollback() restore any earlier state in O(#commits undone) without
 /// touching the (potentially large) existing-instance snapshot.
 

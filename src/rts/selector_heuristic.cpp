@@ -80,13 +80,7 @@ SelectionResult HeuristicSelector::select_impl(const TriggerInstruction& ti,
                                                std::string* trace) const {
   SelectionResult result;
   unsigned round = 0;
-  ProfitCache* cache = tuning_.memoize_profits ? cache_ : nullptr;
-  if (cache != nullptr) cache->begin_select();
-  // Baseline tuning (the bench's A/B reference) keeps the historical
-  // allocate-per-candidate evaluation; any enabled optimization switches to
-  // the scratch-buffer fast path. The profits are bit-identical either way.
-  const bool fast_eval =
-      cache != nullptr || tuning_.incremental_planner;
+  if (cache_ != nullptr) cache_->begin_select();
   EvalScratch scratch;
   // The log lambda is only ever invoked behind `if (trace != nullptr)` —
   // the guard must sit at the call site so the argument's string
@@ -152,15 +146,9 @@ SelectionResult HeuristicSelector::select_impl(const TriggerInstruction& ti,
     double best_profit = -1.0;
     double best_key = -1.0;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const double profit =
-          fast_eval
-              ? evaluate_candidate_profit(*lib_, candidates[i].ise,
-                                          *candidates[i].entry, planner,
-                                          profit_model_, cache, scratch)
-              : evaluate_candidate(*lib_, candidates[i].ise,
-                                   *candidates[i].entry, planner,
-                                   profit_model_)
-                    .profit;
+      const double profit = evaluate_candidate_profit(
+          *lib_, candidates[i].ise, *candidates[i].entry, planner,
+          profit_model_, cache_, scratch);
       ++result.profit_evaluations;
       if (first_round) ++result.first_round_evaluations;
       if (trace_ != nullptr) {
@@ -232,7 +220,7 @@ SelectionResult HeuristicSelector::select_impl(const TriggerInstruction& ti,
     first_round = false;
   }
 
-  if (cache != nullptr) cache->flush(counters_, trace_, planner.now());
+  if (cache_ != nullptr) cache_->flush(counters_, trace_, planner.now());
   result.overhead_cycles =
       cost_.cost(result.profit_evaluations, result.candidates_scanned);
   return result;

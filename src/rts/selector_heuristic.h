@@ -130,11 +130,8 @@ class HeuristicSelector {
 
   /// Attaches the profit memo (null detaches; default off). The cache must
   /// outlive the selector and follows the same no-sharing-across-threads
-  /// rule; it is only consulted while tuning().memoize_profits is set.
+  /// rule.
   void attach_profit_cache(ProfitCache* cache) { cache_ = cache; }
-
-  void set_tuning(SelectorTuning tuning) { tuning_ = tuning; }
-  SelectorTuning tuning() const { return tuning_; }
 
  private:
   SelectionResult select_impl(const TriggerInstruction& ti,
@@ -145,7 +142,6 @@ class HeuristicSelector {
   SelectorCostModel cost_;
   SelectionPolicy policy_;
   ProfitModel profit_model_;
-  SelectorTuning tuning_;
   TraceRecorder* trace_ = nullptr;
   CounterRegistry* counters_ = nullptr;
   ProfitCache* cache_ = nullptr;

@@ -30,15 +30,11 @@ struct SearchState {
   std::vector<SelectedIse> current;
   double current_profit = 0.0;
 
-  /// Hot-path tuning (see rts/profit_cache.h). The search order, the bound
-  /// tests and every committed schedule are identical in both modes; only
-  /// the work per node differs.
-  bool incremental = false;
-  ProfitCache* cache = nullptr;
+  ProfitCache* cache = nullptr;  ///< optional profit memo
   EvalScratch* scratch = nullptr;
   /// Retired instance_ready vectors, reused (capacity intact) by the next
-  /// push — the incremental path's only per-node heap traffic would
-  /// otherwise be this vector.
+  /// push — the search's only per-node heap traffic would otherwise be this
+  /// vector.
   std::vector<std::vector<Cycles>> spare;
 };
 
@@ -65,40 +61,28 @@ void dfs(SearchState& st, std::size_t depth, ReconfigPlanner& planner) {
     const IseVariant& v = st.lib->ise(ise_id);
     if (!planner.fits(v.fg_units, v.cg_units)) continue;
     const double profit =
-        st.incremental || st.cache != nullptr
-            ? evaluate_candidate_profit(*st.lib, ise_id, *opt.entry, planner,
-                                        ProfitModel{}, st.cache, *st.scratch)
-            : evaluate_candidate(*st.lib, ise_id, *opt.entry, planner).profit;
+        evaluate_candidate_profit(*st.lib, ise_id, *opt.entry, planner,
+                                  ProfitModel{}, st.cache, *st.scratch);
     ++st.profit_evals;
     SelectedIse sel;
     sel.kernel = opt.entry->kernel;
     sel.ise = ise_id;
     sel.profit = profit;
-    if (st.incremental) {
-      // Extend the shared planner in place and undo on the way out instead
-      // of copying its whole state (three hash maps) per node.
-      const ReconfigPlanner::Checkpoint cp = planner.mark();
-      if (!st.spare.empty()) {
-        sel.instance_ready = std::move(st.spare.back());
-        st.spare.pop_back();
-      }
-      planner.commit_into(v.data_paths, sel.instance_ready);
-      st.current.push_back(std::move(sel));
-      st.current_profit += profit;
-      dfs(st, depth + 1, planner);
-      st.current_profit -= profit;
-      st.spare.push_back(std::move(st.current.back().instance_ready));
-      st.current.pop_back();
-      planner.rollback(cp);
-    } else {
-      ReconfigPlanner child = planner;
-      sel.instance_ready = child.commit(v.data_paths);
-      st.current.push_back(std::move(sel));
-      st.current_profit += profit;
-      dfs(st, depth + 1, child);
-      st.current_profit -= profit;
-      st.current.pop_back();
+    // Extend the shared planner in place and undo on the way out instead of
+    // copying its whole state (three hash maps) per node.
+    const ReconfigPlanner::Checkpoint cp = planner.mark();
+    if (!st.spare.empty()) {
+      sel.instance_ready = std::move(st.spare.back());
+      st.spare.pop_back();
     }
+    planner.commit_into(v.data_paths, sel.instance_ready);
+    st.current.push_back(std::move(sel));
+    st.current_profit += profit;
+    dfs(st, depth + 1, planner);
+    st.current_profit -= profit;
+    st.spare.push_back(std::move(st.current.back().instance_ready));
+    st.current.pop_back();
+    planner.rollback(cp);
   }
 }
 
@@ -110,9 +94,7 @@ OptimalSelector::OptimalSelector(const IseLibrary& lib,
 
 SelectionResult OptimalSelector::select(const TriggerInstruction& ti,
                                         ReconfigPlanner planner) const {
-  ProfitCache* cache = tuning_.memoize_profits ? cache_ : nullptr;
-  if (cache != nullptr) cache->begin_select();
-  const bool fast_eval = cache != nullptr || tuning_.incremental_planner;
+  if (cache_ != nullptr) cache_->begin_select();
   EvalScratch scratch;
 
   std::vector<KernelOptions> kernels;
@@ -131,10 +113,8 @@ SelectionResult OptimalSelector::select(const TriggerInstruction& ti,
       // deeper evaluation of this ISE can exceed this profit. With the memo
       // attached these evaluations seed it: the search re-meets the root
       // planner state along the all-"no ISE" DFS prefix of every kernel.
-      const double profit =
-          fast_eval ? evaluate_candidate_profit(*lib_, ise, entry, planner,
-                                                ProfitModel{}, cache, scratch)
-                    : evaluate_candidate(*lib_, ise, entry, planner).profit;
+      const double profit = evaluate_candidate_profit(
+          *lib_, ise, entry, planner, ProfitModel{}, cache_, scratch);
       ++ub_evals;
       opt.upper_bound = std::max(opt.upper_bound, profit);
     }
@@ -156,8 +136,7 @@ SelectionResult OptimalSelector::select(const TriggerInstruction& ti,
   for (std::size_t i = kernels.size(); i > 0; --i) {
     st.ub_suffix[i - 1] = st.ub_suffix[i] + kernels[i - 1].upper_bound;
   }
-  st.incremental = tuning_.incremental_planner;
-  st.cache = cache;
+  st.cache = cache_;
   st.scratch = &scratch;
 
   dfs(st, 0, planner);
@@ -169,7 +148,7 @@ SelectionResult OptimalSelector::select(const TriggerInstruction& ti,
   result.profit_evaluations = st.profit_evals + ub_evals;
   result.candidates_scanned = st.nodes;
   result.overhead_cycles = 0;  // not meaningful: this algorithm is offline
-  if (cache != nullptr) cache->flush(counters_, trace_, planner.now());
+  if (cache_ != nullptr) cache_->flush(counters_, trace_, planner.now());
   if (trace_ != nullptr) {
     for (std::size_t i = 0; i < result.selected.size(); ++i) {
       const SelectedIse& sel = result.selected[i];

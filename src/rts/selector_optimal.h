@@ -7,11 +7,15 @@
 /// feasible at run time); we use it for the Fig. 9 comparison and for the
 /// offline-optimal baseline.
 ///
-/// Enumeration fixes the reconfiguration order to trigger-instruction order
-/// (the same order the installer uses); each combination is scored as the
-/// sum of the Eq. 4 profits of its members evaluated against the shared
-/// reconfiguration-port backlog. A per-kernel "no ISE" option guarantees
-/// feasibility when the fabric cannot host every kernel.
+/// Enumeration fixes the reconfiguration order: kernels are searched, and
+/// their picks returned and installed, in descending order of their root
+/// profit upper bound. Each combination is scored as the sum of the Eq. 4
+/// profits of its members evaluated against the shared reconfiguration-port
+/// backlog. A per-kernel "no ISE" option guarantees feasibility when the
+/// fabric cannot host every kernel. The search extends one planner in place
+/// (ReconfigPlanner::mark/commit_into/rollback) instead of copying it per
+/// node; tests/test_profit_cache.cpp checks it against a copy-per-
+/// combination enumeration.
 
 #include <cstdint>
 
@@ -48,13 +52,9 @@ class OptimalSelector {
   /// Attaches the profit memo shared with the heuristic (null detaches).
   void attach_profit_cache(ProfitCache* cache) { cache_ = cache; }
 
-  void set_tuning(SelectorTuning tuning) { tuning_ = tuning; }
-  SelectorTuning tuning() const { return tuning_; }
-
  private:
   const IseLibrary* lib_;
   std::uint64_t node_budget_;
-  SelectorTuning tuning_;
   mutable std::uint64_t last_combinations_ = 0;
   TraceRecorder* trace_ = nullptr;
   CounterRegistry* counters_ = nullptr;

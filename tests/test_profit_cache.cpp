@@ -1,8 +1,9 @@
-// Tests for the selector hot-path optimizations (rts/profit_cache.h): the
-// contract is that profit memoization and the incremental planner are *pure*
-// optimizations — every SelectionResult, counter and trace event stays
-// identical to SelectorTuning::baseline(), which keeps the pre-optimization
-// implementation alive for exactly this comparison.
+// Tests for the selector hot path (rts/profit_cache.h): the profit memo is
+// a *pure* optimization — every SelectionResult, counter and trace event of
+// a cache-attached selector is identical to the same selector without one —
+// and the branch-and-bound's in-place mark/commit_into/rollback search finds
+// the same best profit as a plain enumeration that copies the planner for
+// every combination.
 
 #include <gtest/gtest.h>
 
@@ -44,47 +45,45 @@ bool same_selection(const SelectionResult& a, const SelectionResult& b) {
 }
 
 /// Replays the H.264 trigger sequence on a fabric of the given size and, at
-/// every decision point, compares the tuned selectors (memoization +
-/// incremental planner) against SelectorTuning::baseline() on identical
-/// planner snapshots. Returns the number of decision points checked.
+/// every decision point, compares the cache-attached selectors against the
+/// same selectors without a cache on identical planner snapshots. Returns
+/// the number of decision points checked.
 std::size_t check_grid_point(const H264Application& app, unsigned prcs,
                              unsigned cg, FabricManager* faulted = nullptr) {
   const IseLibrary& lib = app.library;
   FabricManager own(cg, prcs, &lib.data_paths());
   FabricManager& fabric = faulted != nullptr ? *faulted : own;
 
-  HeuristicSelector h_base(lib);
-  h_base.set_tuning(SelectorTuning::baseline());
-  HeuristicSelector h_tuned(lib);
+  HeuristicSelector h_plain(lib);
+  HeuristicSelector h_cached(lib);
   ProfitCache h_cache;
-  h_tuned.attach_profit_cache(&h_cache);
+  h_cached.attach_profit_cache(&h_cache);
 
-  OptimalSelector o_base(lib);
-  o_base.set_tuning(SelectorTuning::baseline());
-  OptimalSelector o_tuned(lib);
+  OptimalSelector o_plain(lib);
+  OptimalSelector o_cached(lib);
   ProfitCache o_cache;
-  o_tuned.attach_profit_cache(&o_cache);
+  o_cached.attach_profit_cache(&o_cache);
 
   std::size_t checked = 0;
   Cycles now = 0;
   for (const FunctionalBlockInstance& block : app.trace.blocks) {
     ReconfigPlanner planner(lib.data_paths(), fabric, now);
-    const SelectionResult hb = h_base.select(block.programmed, planner);
-    const SelectionResult ht = h_tuned.select(block.programmed, planner);
-    EXPECT_TRUE(same_selection(hb, ht))
+    const SelectionResult hp = h_plain.select(block.programmed, planner);
+    const SelectionResult hc = h_cached.select(block.programmed, planner);
+    EXPECT_TRUE(same_selection(hp, hc))
         << "heuristic diverged at PRC=" << prcs << " CG=" << cg
         << " cycle=" << now;
-    const SelectionResult ob = o_base.select(block.programmed, planner);
-    const SelectionResult ot = o_tuned.select(block.programmed, planner);
-    EXPECT_TRUE(same_selection(ob, ot))
+    const SelectionResult op = o_plain.select(block.programmed, planner);
+    const SelectionResult oc = o_cached.select(block.programmed, planner);
+    EXPECT_TRUE(same_selection(op, oc))
         << "optimal diverged at PRC=" << prcs << " CG=" << cg
         << " cycle=" << now;
     ++checked;
     // Evolve the fabric with the agreed selection so later snapshots carry
     // real port backlogs and reusable instances.
     std::vector<IsePlacementRequest> requests;
-    requests.reserve(hb.selected.size());
-    for (const auto& s : hb.selected) {
+    requests.reserve(hp.selected.size());
+    for (const auto& s : hp.selected) {
       requests.push_back({s.ise, s.kernel, lib.ise(s.ise).data_paths});
     }
     fabric.install(requests, now);
@@ -140,6 +139,98 @@ TEST(ProfitCacheEquivalence, HoldsAfterFaultInducedQuarantines) {
   // The replay installs and scrubs under an aggressive fault model; the
   // epoch must keep moving so stale cache keys can never match.
   EXPECT_GT(fabric.state_epoch(), epoch_quarantined);
+}
+
+/// One kernel of the reference enumeration: its trigger entry, the ISEs that
+/// fit the root planner's free budget and the best root profit among them
+/// (the selector's search-order key).
+struct EnumKernel {
+  const TriggerEntry* entry = nullptr;
+  std::vector<IseId> ises;
+  double upper_bound = 0.0;
+};
+
+/// Reference for the branch-and-bound: visits every feasible combination
+/// ("no ISE" or one ISE per kernel), each extension on its own copy of the
+/// planner, and returns the best sum of Eq. 4 profits. No bound prunes it.
+double enumerate_best(const IseLibrary& lib,
+                      const std::vector<EnumKernel>& kernels,
+                      std::size_t depth, const ReconfigPlanner& planner,
+                      double sum) {
+  if (depth == kernels.size()) return sum;
+  double best = enumerate_best(lib, kernels, depth + 1, planner, sum);
+  for (const IseId ise : kernels[depth].ises) {
+    const IseVariant& v = lib.ise(ise);
+    if (!planner.fits(v.fg_units, v.cg_units)) continue;
+    ReconfigPlanner child = planner;
+    const double profit =
+        evaluate_candidate(lib, ise, *kernels[depth].entry, child).profit;
+    child.commit(v.data_paths);
+    best = std::max(best, enumerate_best(lib, kernels, depth + 1, child,
+                                         sum + profit));
+  }
+  return best;
+}
+
+/// Best enumerated profit for \p ti, in the selector's documented commit
+/// order: kernels by descending root profit bound.
+double exhaustive_best(const IseLibrary& lib, const TriggerInstruction& ti,
+                       const ReconfigPlanner& root) {
+  std::vector<EnumKernel> kernels;
+  for (const TriggerEntry& entry : ti.entries) {
+    EnumKernel k;
+    k.entry = &entry;
+    for (const IseId ise : lib.kernel(entry.kernel).ises) {
+      const IseVariant& v = lib.ise(ise);
+      if (!v.fits(root.free_prcs(), root.free_cg())) continue;
+      k.ises.push_back(ise);
+      k.upper_bound = std::max(
+          k.upper_bound, evaluate_candidate(lib, ise, entry, root).profit);
+    }
+    kernels.push_back(std::move(k));
+  }
+  std::sort(kernels.begin(), kernels.end(),
+            [](const EnumKernel& a, const EnumKernel& b) {
+              return a.upper_bound > b.upper_bound;
+            });
+  return enumerate_best(lib, kernels, 0, root, 0.0);
+}
+
+TEST(OptimalSelector, EqualsExhaustiveEnumerationOnFig9Grid) {
+  // The in-place mark/commit_into/rollback search with its bound tests must
+  // find the same optimum as copying the planner for every combination, at
+  // every decision point of the H.264 trigger sequence on the fig9 grid.
+  H264AppParams params;
+  params.frames = 2;
+  const H264Application app = build_h264_application(params);
+  const IseLibrary& lib = app.library;
+  constexpr std::uint64_t kNodeBudget = 200'000'000;
+
+  std::size_t checked = 0;
+  for (unsigned prcs = 0; prcs <= 6; ++prcs) {
+    for (unsigned cg = 0; cg <= 3; ++cg) {
+      FabricManager fabric(cg, prcs, &lib.data_paths());
+      OptimalSelector selector(lib, kNodeBudget);
+      Cycles now = 0;
+      for (const FunctionalBlockInstance& block : app.trace.blocks) {
+        const ReconfigPlanner planner(lib.data_paths(), fabric, now);
+        const SelectionResult r = selector.select(block.programmed, planner);
+        ASSERT_LE(r.candidates_scanned, kNodeBudget)
+            << "node budget hit at PRC=" << prcs << " CG=" << cg;
+        const double best = exhaustive_best(lib, block.programmed, planner);
+        EXPECT_NEAR(r.total_profit, best, 1e-9 * std::max(1.0, best))
+            << "PRC=" << prcs << " CG=" << cg << " cycle=" << now;
+        ++checked;
+        std::vector<IsePlacementRequest> requests;
+        for (const auto& s : r.selected) {
+          requests.push_back({s.ise, s.kernel, lib.ise(s.ise).data_paths});
+        }
+        fabric.install(requests, now);
+        now += 150'000;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 7u * 4u * app.trace.blocks.size());
 }
 
 TEST(ProfitCacheEquivalence, EpochBumpsOnEveryFabricMutation) {
@@ -280,9 +371,7 @@ TEST(ProfitCacheUnit, BeginSelectDropsEntriesAndTallies) {
   EXPECT_EQ(cache.select_hits(), 0u);
   EXPECT_EQ(cache.select_misses(), 0u);
   EXPECT_EQ(cache.lookup(key), nullptr);  // entries do not survive a select
-  // Lifetime totals do survive (the bench derives its hit rate from them).
-  EXPECT_EQ(cache.total_hits(), 1u);
-  EXPECT_EQ(cache.total_misses(), 1u);
+  EXPECT_EQ(cache.select_misses(), 1u);
 }
 
 TEST(PlannerCheckpoint, RollbackRestoresExactState) {
@@ -364,12 +453,15 @@ TEST(ProfitCacheObservability, CountersAndTraceEventsAreEmitted) {
   selector.attach_observability(&trace, &counters);
 
   ReconfigPlanner planner(lib.data_paths(), 4, 3, 0);
-  (void)selector.select(make_trigger(lib), planner);
+  const SelectionResult r = selector.select(make_trigger(lib), planner);
 
   const std::uint64_t hits = counters.counter("selector.cache.hit");
   const std::uint64_t misses = counters.counter("selector.cache.miss");
   EXPECT_GT(misses, 0u);  // a cold cache always misses at least once
-  EXPECT_EQ(hits + misses, cache.total_hits() + cache.total_misses());
+  // Every profit evaluation is served (hit) or computed (miss) exactly once,
+  // and flush() leaves no tally behind.
+  EXPECT_EQ(hits + misses, r.profit_evaluations);
+  EXPECT_EQ(cache.select_hits() + cache.select_misses(), 0u);
 
   ASSERT_EQ(trace.count(TraceEventKind::kSelectorCacheStats), 1u);
   const auto it = std::find_if(

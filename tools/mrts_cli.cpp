@@ -955,7 +955,8 @@ int cmd_trace_summary(const std::string& path) {
   // Rows sort by kind *name*, not enum order: the table then matches the
   // (alphabetical) counter table — e.g. the selector.cache row lands next to
   // the selector.cache.{hit,miss} counters — and stays stable when new enum
-  // values are appended. Pinned by tests/test_profit_cache.cpp.
+  // values are appended. Pinned by
+  // ProfitCacheObservability.CounterTableOrderIsAlphabetical.
   std::map<std::string, std::size_t> rows;
   for (std::size_t i = 0; i < kNumTraceEventKinds; ++i) {
     if (summary.per_kind[i] == 0) continue;
