@@ -194,7 +194,8 @@ struct FaultFlags {
 /// `--max-retries N` flags (each also accepts the `--flag=value` form).
 /// Must run before benchmark::Initialize, like parse_jobs. Invalid values
 /// terminate with exit code 2 (documented input-error contract — the sweep
-/// must not run with a silently clamped fault configuration).
+/// must not run with a silently clamped fault configuration); so does a
+/// trailing flag without a value.
 /// MRTS_BENCH_FAULT_RATE / _FAULT_SEED / _MAX_RETRIES env variables supply
 /// defaults when the flags are absent and follow the same strict contract.
 inline FaultFlags parse_fault_flags(int* argc, char** argv) {
@@ -225,8 +226,9 @@ inline FaultFlags parse_fault_flags(int* argc, char** argv) {
     const char* value = nullptr;
     auto match = [&](const char* name) {
       const std::size_t len = std::strlen(name);
-      if (std::strcmp(arg, name) == 0 && i + 1 < *argc) {
-        value = argv[++i];
+      if (std::strcmp(arg, name) == 0) {
+        // A trailing flag without a value is malformed, not ignored.
+        value = i + 1 < *argc ? argv[++i] : "";
         return true;
       }
       if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
@@ -270,22 +272,27 @@ inline FaultFlags parse_fault_flags(int* argc, char** argv) {
 /// writes one Chrome trace per mRTS sweep point into DIR. Empty string =
 /// tracing off (the default; traced runs pay the recording overhead, so the
 /// timing figures should normally run untraced). MRTS_BENCH_TRACE_DIR
-/// supplies the default when the flag is absent.
+/// supplies the default when the flag is absent. A flag with an empty or
+/// missing DIR exits with code 2.
 inline std::string parse_trace_dir(int* argc, char** argv) {
   std::string dir;
   if (const char* env = std::getenv("MRTS_BENCH_TRACE_DIR")) dir = env;
   int out = 1;  // argv[0] always kept
   for (int i = 1; i < *argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--trace-dir") == 0 && i + 1 < *argc) {
-      dir = argv[++i];
+    const char* value = nullptr;
+    if (std::strcmp(arg, "--trace-dir") == 0) {
+      value = i + 1 < *argc ? argv[++i] : "";
+    } else if (std::strncmp(arg, "--trace-dir=", 12) == 0) {
+      value = arg + 12;
+    } else {
+      argv[out++] = argv[i];
       continue;
     }
-    if (std::strncmp(arg, "--trace-dir=", 12) == 0) {
-      dir = arg + 12;
-      continue;
+    if (*value == '\0') {
+      detail::flag_error("--trace-dir", value, "a directory path");
     }
-    argv[out++] = argv[i];
+    dir = value;
   }
   *argc = out;
   argv[out] = nullptr;

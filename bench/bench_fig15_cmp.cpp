@@ -80,7 +80,8 @@ PointResult run_point(const PointKey& key) {
   IseLibrary combined;
   std::vector<KernelId> kernels;
   for (unsigned i = 0; i < key.cores; ++i) {
-    const std::string name = "C" + std::to_string(i);
+    std::string name = "C";
+    name += std::to_string(i);
     IseBuildSpec spec;
     spec.kernel_name = name;
     spec.sw_latency = 700;
@@ -117,10 +118,12 @@ PointResult run_point(const PointKey& key) {
     TenantPolicy policy;
     policy.share = TenantShare::kWeighted;
     policy.weight = 1;
+    std::string name = "C";
+    name += std::to_string(i);
     const FabricArbiter::Registration reg =
-        machine.register_tenant("C" + std::to_string(i), policy);
+        machine.register_tenant(name, policy);
     Task task;
-    task.name = "C" + std::to_string(i);
+    task.name = std::move(name);
     task.rts = &machine.add_rts(reg.id);
     task.trace = &traces[i];
     task.tenant = reg.id;

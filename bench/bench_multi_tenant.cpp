@@ -109,7 +109,8 @@ PointResult run_point(const PointKey& key) {
   IseLibrary combined;
   std::vector<KernelId> kernels;
   for (unsigned i = 0; i < key.tenants; ++i) {
-    const std::string name = "T" + std::to_string(i);
+    std::string name = "T";
+    name += std::to_string(i);
     IseBuildSpec spec;
     spec.kernel_name = name;
     spec.sw_latency = 700;
@@ -147,14 +148,15 @@ PointResult run_point(const PointKey& key) {
   PointResult result;
   for (unsigned i = 0; i < key.tenants; ++i) {
     const TenantPolicy policy = policy_for(key.scenario, i);
-    regs.push_back(
-        machine.register_tenant("T" + std::to_string(i), policy));
+    std::string name = "T";
+    name += std::to_string(i);
+    regs.push_back(machine.register_tenant(name, policy));
     if (!regs.back().admitted) {
       ++result.bounced;
       continue;
     }
     Task task;
-    task.name = "T" + std::to_string(i);
+    task.name = std::move(name);
     task.rts = &machine.add_rts(regs[i].id);
     task.trace = &traces[i];
     task.priority = policy.priority;

@@ -5,8 +5,9 @@
 #    file (--out), and is byte-deterministic across invocations;
 #  * the cycle-accounting table carries every row with a matching total;
 #  * parser hardening: empty files and trailing newlines are zero-event
-#    successes, truncated/garbage lines are input errors (exit 2) naming the
-#    bad line, and a missing file is an input error too;
+#    successes, truncated/garbage lines and malformed numbers are input
+#    errors (exit 2) naming the bad line, and a missing file is an input
+#    error too;
 #  * `run-multi` prints bounced tenants sorted by name;
 #  * `trace-summary` surfaces the span-duration percentiles.
 #
@@ -90,6 +91,28 @@ string(FIND "${err}" "line" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "truncated-trace error does not name the bad line: ${err}")
 endif()
+# Malformed numbers: a negative duration, a non-number, an out-of-range
+# u32, trailing junk on a double and on the timestamp are each an input
+# error for both verbs, never a silently clamped or wrapped value.
+set(good_line "{\"kind\":\"block_end\",\"at\":5,\"dur\":3,\"track\":0,\"arg0\":1,\"arg1\":2,\"tenant\":0,\"v0\":0,\"v1\":0}")
+set(case 0)
+foreach(bad "\"dur\":-3" "\"arg0\":abc" "\"arg1\":4294967297" "\"v0\":1.5xyz"
+        "\"at\":12junk")
+  string(REGEX MATCH "^\"[a-z0-9]+\":" key "${bad}")
+  string(REGEX REPLACE "${key}[^,}]*" "${bad}" line "${good_line}")
+  math(EXPR case "${case} + 1")
+  set(bad_file "${WORK_DIR}/bad_number_${case}.jsonl")
+  file(WRITE "${bad_file}" "${good_line}\n${line}\n")
+  foreach(verb trace-summary trace-analyze)
+    execute_process(
+      COMMAND "${MRTS_CLI}" ${verb} "${bad_file}"
+      RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+    if(NOT rc EQUAL 2)
+      message(FATAL_ERROR "${verb} on a line with ${bad} exited ${rc}, "
+                          "expected input error 2")
+    endif()
+  endforeach()
+endforeach()
 # Missing file: input error.
 execute_process(
   COMMAND "${MRTS_CLI}" trace-analyze "${WORK_DIR}/no_such_file.jsonl"

@@ -1,28 +1,17 @@
 #include "obs/report_io.h"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <ostream>
+
+#include "util/text_buffer.h"
 
 namespace mrts::obs {
 namespace {
 
-/// Same contract as the JSONL trace writer: integral doubles (exact up to
-/// 2^53) emit every digit, the rest keeps %.10g — deterministic bytes for
-/// deterministic values.
-std::string fmt(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0 /* 2^53 */) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.10g", v);
-  }
-  return buf;
-}
+/// Report doubles follow the JSON rule in every format: the number contract
+/// of util/text_buffer.h, non-finite values print 0.
+JsonNumber fmt(double v) { return {v}; }
 
-void json_row(std::ostream& os, const AccountingRow& row, const char* label,
+void json_row(TextBuffer& os, const AccountingRow& row, const char* label,
               const char* indent) {
   os << indent << "{\"" << label << "\":\"" << row.key << "\"";
   for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
@@ -32,7 +21,7 @@ void json_row(std::ostream& os, const AccountingRow& row, const char* label,
   os << ",\"total\":" << row.total() << "}";
 }
 
-void json_histogram(std::ostream& os, const Histogram& h) {
+void json_histogram(TextBuffer& os, const Histogram& h) {
   os << "{\"count\":" << h.count() << ",\"mean\":" << fmt(h.mean())
      << ",\"p50\":" << fmt(h.percentile(0.50))
      << ",\"p90\":" << fmt(h.percentile(0.90))
@@ -42,7 +31,8 @@ void json_histogram(std::ostream& os, const Histogram& h) {
 
 }  // namespace
 
-void write_report_json(std::ostream& os, const RunReport& r) {
+void write_report_json(std::ostream& sink, const RunReport& r) {
+  TextBuffer os(sink);
   os << "{\n";
   os << "  \"schema\": \"mrts.run_report.v1\",\n";
   os << "  \"events\": " << r.total_events << ",\n";
@@ -129,7 +119,8 @@ void write_report_json(std::ostream& os, const RunReport& r) {
   os << "}\n";
 }
 
-void write_report_csv(std::ostream& os, const RunReport& r) {
+void write_report_csv(std::ostream& sink, const RunReport& r) {
+  TextBuffer os(sink);
   os << "section,row,metric,value\n";
   os << "run,trace,events," << r.total_events << "\n";
   os << "run,trace,span_begin," << r.shape.span_begin << "\n";
@@ -182,7 +173,8 @@ void write_report_csv(std::ostream& os, const RunReport& r) {
   }
 }
 
-void write_report_markdown(std::ostream& os, const RunReport& r) {
+void write_report_markdown(std::ostream& sink, const RunReport& r) {
+  TextBuffer os(sink);
   os << "# Run report\n\n";
   os << "- events: " << r.total_events << "\n";
   os << "- span: [" << r.shape.span_begin << ", " << r.shape.span_end

@@ -4,8 +4,8 @@
 /// format), CSV (one flat metric table for spreadsheets) and markdown (the
 /// human-readable default on stdout). All three are deterministic byte
 /// streams for a given report: fixed key order, fixed row order, and the
-/// same double formatting contract as the JSONL trace writer (integral
-/// doubles < 2^53 print every digit, others use %.10g).
+/// number contract as the JSONL trace writer (util/text_buffer.h: integral
+/// doubles < 2^53 print every digit, others %.10g, non-finite ones 0).
 
 #include <iosfwd>
 #include <string>

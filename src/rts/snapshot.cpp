@@ -1,5 +1,6 @@
 #include "rts/snapshot.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -85,19 +86,28 @@ AppRunProgress load_progress(SnapshotReader& r) {
   return p;
 }
 
+/// Encoded size of one trace event: kind u8, track i32, at u64, duration
+/// u64, arg0 u32, arg1 u32, v0 f64, v1 f64, tenant u32.
+constexpr std::size_t kTraceEventBytes = 49;
+/// Default tenant u32 + event count u64 in front of the records.
+constexpr std::size_t kTraceHeaderBytes = 12;
+
 void save_trace_events(SnapshotWriter& w, const TraceRecorder& recorder) {
   w.u32(recorder.default_tenant());
   w.u64(recorder.size());
   for (const TraceEvent& e : recorder.events()) {
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.i32(e.track);
-    w.u64(e.at);
-    w.u64(e.duration);
-    w.u32(e.arg0);
-    w.u32(e.arg1);
-    w.f64(e.v0);
-    w.f64(e.v1);
-    w.u32(e.tenant);
+    std::uint8_t record[kTraceEventBytes];
+    std::uint8_t* p = record;
+    *p++ = static_cast<std::uint8_t>(e.kind);
+    p = store_le(p, static_cast<std::uint32_t>(e.track));
+    p = store_le(p, e.at);
+    p = store_le(p, e.duration);
+    p = store_le(p, e.arg0);
+    p = store_le(p, e.arg1);
+    p = store_le(p, std::bit_cast<std::uint64_t>(e.v0));
+    p = store_le(p, std::bit_cast<std::uint64_t>(e.v1));
+    store_le(p, e.tenant);
+    w.raw(record, sizeof record);
   }
 }
 
@@ -171,26 +181,38 @@ std::vector<std::uint8_t> build_snapshot(const CheckpointMeta& meta,
                                          const AppRunProgress& progress,
                                          const TraceRecorder* recorder,
                                          const CounterRegistry* counters) {
-  SnapshotWriter w;
-  for (char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
-  w.u32(kFormatVersion);
-  const std::size_t size_pos = w.size();
-  w.u64(0);  // payload size, backpatched
-  const std::size_t crc_pos = w.size();
-  w.u32(0);  // payload CRC, backpatched
+  // The small variable-size parts are encoded first; with them the image's
+  // size is known, so it is built into one exactly sized buffer and the
+  // trace records (most of a traced snapshot) never regrow it.
+  SnapshotWriter head;
+  for (char c : kMagic) head.u8(static_cast<std::uint8_t>(c));
+  head.u32(kFormatVersion);
+  const std::size_t size_pos = head.size();
+  head.u64(0);  // payload size, backpatched
+  const std::size_t crc_pos = head.size();
+  head.u32(0);  // payload CRC, backpatched
+  save_meta(head, meta);
+  save_progress(head, progress);
+  rts.save_state(head);
+  SnapshotWriter counter_state;
+  if (counters != nullptr) counters->save_state(counter_state);
+  const std::size_t trace_bytes =
+      recorder == nullptr
+          ? 0
+          : kTraceHeaderBytes + kTraceEventBytes * recorder->size();
 
-  save_meta(w, meta);
-  save_progress(w, progress);
-  rts.save_state(w);
+  SnapshotWriter w;
+  w.reserve(head.size() + 1 + trace_bytes + 1 + counter_state.size());
+  w.raw(head.data(), head.size());
   w.boolean(recorder != nullptr);
   if (recorder != nullptr) save_trace_events(w, *recorder);
   w.boolean(counters != nullptr);
-  if (counters != nullptr) counters->save_state(w);
+  w.raw(counter_state.data(), counter_state.size());
 
   const std::size_t payload_size = w.size() - kHeaderSize;
   w.patch_u64(size_pos, payload_size);
   w.patch_u32(crc_pos,
-              snapshot_crc32(w.bytes().data() + kHeaderSize, payload_size));
+              snapshot_crc32(w.data() + kHeaderSize, payload_size));
   return w.take();
 }
 

@@ -163,7 +163,7 @@ std::vector<std::uint8_t> encode(const HelloFrame& f) {
   w.u8(static_cast<std::uint8_t>(f.client_version & 0xFF));
   w.u8(static_cast<std::uint8_t>(f.client_version >> 8));
   w.str(f.client_name);
-  return encode_frame(FrameType::kHello, w.bytes());
+  return encode_frame(FrameType::kHello, w.take());
 }
 
 std::vector<std::uint8_t> encode(const HelloOkFrame& f) {
@@ -175,7 +175,7 @@ std::vector<std::uint8_t> encode(const HelloOkFrame& f) {
   w.u32(f.cg);
   w.u32(f.job_classes);
   w.str(f.banner);
-  return encode_frame(FrameType::kHelloOk, w.bytes());
+  return encode_frame(FrameType::kHelloOk, w.take());
 }
 
 std::vector<std::uint8_t> encode(const SubmitFrame& f) {
@@ -189,7 +189,7 @@ std::vector<std::uint8_t> encode(const SubmitFrame& f) {
   w.u32(f.job_class);
   w.u32(f.blocks);
   w.u64(f.seed);
-  return encode_frame(FrameType::kSubmit, w.bytes());
+  return encode_frame(FrameType::kSubmit, w.take());
 }
 
 std::vector<std::uint8_t> encode(const SubmitOkFrame& f) {
@@ -198,13 +198,13 @@ std::vector<std::uint8_t> encode(const SubmitOkFrame& f) {
   w.u32(f.tenant);
   w.u8(f.admitted);
   w.str(f.bounce_reason);
-  return encode_frame(FrameType::kSubmitOk, w.bytes());
+  return encode_frame(FrameType::kSubmitOk, w.take());
 }
 
 std::vector<std::uint8_t> encode(const PollFrame& f) {
   SnapshotWriter w;
   w.u64(f.job_id);
-  return encode_frame(FrameType::kPoll, w.bytes());
+  return encode_frame(FrameType::kPoll, w.take());
 }
 
 std::vector<std::uint8_t> encode(const JobStatusFrame& f) {
@@ -219,20 +219,20 @@ std::vector<std::uint8_t> encode(const JobStatusFrame& f) {
   w.str(f.report_json);
   w.str(f.counters_delta);
   w.str(f.reason);
-  return encode_frame(FrameType::kJobStatus, w.bytes());
+  return encode_frame(FrameType::kJobStatus, w.take());
 }
 
 std::vector<std::uint8_t> encode(const CancelFrame& f) {
   SnapshotWriter w;
   w.u64(f.job_id);
-  return encode_frame(FrameType::kCancel, w.bytes());
+  return encode_frame(FrameType::kCancel, w.take());
 }
 
 std::vector<std::uint8_t> encode(const CancelOkFrame& f) {
   SnapshotWriter w;
   w.u64(f.job_id);
   w.u8(f.cancelled);
-  return encode_frame(FrameType::kCancelOk, w.bytes());
+  return encode_frame(FrameType::kCancelOk, w.take());
 }
 
 std::vector<std::uint8_t> encode(const DisconnectFrame&) {
@@ -243,7 +243,7 @@ std::vector<std::uint8_t> encode(const ByeFrame& f) {
   SnapshotWriter w;
   w.u64(f.jobs_submitted);
   w.u64(f.jobs_auto_cancelled);
-  return encode_frame(FrameType::kBye, w.bytes());
+  return encode_frame(FrameType::kBye, w.take());
 }
 
 std::vector<std::uint8_t> encode(const ErrorFrame& f) {
@@ -252,7 +252,7 @@ std::vector<std::uint8_t> encode(const ErrorFrame& f) {
   w.u8(static_cast<std::uint8_t>(f.code >> 8));
   w.u8(f.fatal);
   w.str(f.detail);
-  return encode_frame(FrameType::kError, w.bytes());
+  return encode_frame(FrameType::kError, w.take());
 }
 
 // --- payload decoders ------------------------------------------------------

@@ -1,8 +1,8 @@
 #include "util/csv.h"
 
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "util/text_buffer.h"
 
 namespace mrts {
 
@@ -37,18 +37,11 @@ std::string CsvWriter::escape(const std::string& cell) {
 }
 
 std::string CsvWriter::to_cell(double v) {
-  char buf[64];
-  // Bare %.10g silently rounds integral cycle counts above ~2^33 (it keeps
-  // only 10 significant digits). Integral doubles are exact up to 2^53 —
-  // emit every digit for those; everything else keeps the historical %.10g
-  // (committed CSV bytes depend on its rounding).
-  if (std::isfinite(v) && v == std::floor(v) &&
-      std::fabs(v) < 9007199254740992.0 /* 2^53 */) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-  }
-  return buf;
+  // The shared number contract (util/text_buffer.h): integral doubles below
+  // 2^53 keep every digit, the rest the historical %.10g the committed CSVs
+  // depend on; non-finite values print inf/nan.
+  char buf[kNumberChars];
+  return std::string(buf, format_number(buf, v));
 }
 
 void CsvWriter::emit(const std::vector<std::string>& cells) {

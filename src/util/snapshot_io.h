@@ -14,6 +14,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,44 +35,75 @@ class SnapshotError : public std::runtime_error {
   std::size_t offset_ = 0;
 };
 
-/// Append-only little-endian encoder.
+/// Stores \p v little-endian at \p p and returns the byte after it.
+template <typename T>
+std::uint8_t* store_le(std::uint8_t* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+  return p + sizeof v;
+}
+
+/// Append-only little-endian encoder. Every multi-byte value goes in as one
+/// chunk stored into room the buffer already has, so a pre-sized writer
+/// (reserve) encodes at memory speed.
 class SnapshotWriter {
  public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  /// Makes room for \p bytes in total, so appends up to that size never
+  /// regrow the buffer.
+  void reserve(std::size_t bytes) {
+    if (bytes > bytes_.size()) bytes_.resize(bytes);
   }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+
+  void u8(std::uint8_t v) { append_le(v); }
+  void u32(std::uint32_t v) { append_le(v); }
+  void u64(std::uint64_t v) { append_le(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& s) {
     u64(s.size());
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    raw(s.data(), s.size());
   }
+  /// Appends \p size bytes verbatim.
+  void raw(const void* data, std::size_t size);
 
-  /// Overwrites 4 bytes previously written at \p pos (size/CRC backpatch).
+  /// Overwrites bytes previously written at \p pos (size/CRC backpatch).
   void patch_u32(std::size_t pos, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      bytes_[pos + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (8 * i));
-    }
+    store_le(bytes_.data() + pos, v);
   }
   void patch_u64(std::size_t pos, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes_[pos + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (8 * i));
-    }
+    store_le(bytes_.data() + pos, v);
   }
 
-  std::size_t size() const { return bytes_.size(); }
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
+  /// Bytes written so far: [data(), data() + size()).
+  std::size_t size() const { return used_; }
+  const std::uint8_t* data() const { return bytes_.data(); }
+  /// The bytes written, as a vector exactly as large as its contents when
+  /// the writer was reserved to its final size.
+  std::vector<std::uint8_t> take() {
+    bytes_.resize(used_);
+    used_ = 0;
+    return std::move(bytes_);
+  }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  template <typename T>
+  void append_le(T v) {
+    if (bytes_.size() - used_ < sizeof v) grow(sizeof v);
+    store_le(bytes_.data() + used_, v);
+    used_ += sizeof v;
+  }
+  /// Grows the buffer to twice its size, or further if \p more bytes
+  /// would still not fit.
+  void grow(std::size_t more);
+
+  std::vector<std::uint8_t> bytes_;  ///< [0, used_) written, the rest room
+  std::size_t used_ = 0;
 };
 
 /// Bounds-checked little-endian decoder over a caller-owned buffer.
@@ -151,7 +183,8 @@ class SnapshotReader {
   std::size_t pos_ = 0;
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over \p bytes.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over \p bytes,
+/// computed slicing-by-8 (eight bytes per table round).
 std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size);
 
 }  // namespace mrts

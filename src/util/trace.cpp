@@ -1,19 +1,15 @@
 #include "util/trace.h"
 
 #include <array>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <istream>
-#include <map>
-#include <ostream>
 #include <set>
-#include <sstream>
+#include <type_traits>
 
 #include "isa/ise_library.h"
+#include "util/text_buffer.h"
 
 namespace mrts {
 namespace {
@@ -54,132 +50,125 @@ const char* impl_kind_name(std::uint32_t kind) {
   return kind < kImplKindNames.size() ? kImplKindNames[kind] : "?";
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+// Label pieces go straight into the output buffer. Library names are user
+// data and are JSON-escaped; the literal parts and numbers never need it.
 
-std::string format_double(double v) {
-  if (!std::isfinite(v)) return "0";  // JSON has no inf/nan literals
-  char buf[64];
-  // Same contract as CsvWriter::to_cell: integral doubles (exact up to
-  // 2^53) emit every digit so large cycle counts survive a JSON round
-  // trip; the rest keeps %.10g.
-  if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0 /* 2^53 */) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.10g", v);
-  }
-  return buf;
-}
-
-std::string kernel_name(const IseLibrary* lib, std::uint32_t k) {
+void put_kernel(TextBuffer& out, const IseLibrary* lib, std::uint32_t k) {
   if (lib != nullptr && k < lib->num_kernels()) {
-    return lib->kernel(KernelId{k}).name;
+    out.json_escaped(lib->kernel(KernelId{k}).name);
+  } else {
+    out << "kernel" << k;
   }
-  return "kernel" + std::to_string(k);
 }
 
-std::string ise_name(const IseLibrary* lib, std::uint32_t id) {
-  if (lib != nullptr && id < lib->num_ises()) return lib->ise(IseId{id}).name;
-  return "ise" + std::to_string(id);
+void put_ise(TextBuffer& out, const IseLibrary* lib, std::uint32_t id) {
+  if (lib != nullptr && id < lib->num_ises()) {
+    out.json_escaped(lib->ise(IseId{id}).name);
+  } else {
+    out << "ise" << id;
+  }
 }
 
-std::string dp_name(const IseLibrary* lib, std::uint32_t id) {
+void put_dp(TextBuffer& out, const IseLibrary* lib, std::uint32_t id) {
   if (lib != nullptr && id < lib->data_paths().size()) {
-    return lib->data_paths()[DataPathId{id}].name;
+    out.json_escaped(lib->data_paths()[DataPathId{id}].name);
+  } else {
+    out << "dp" << id;
   }
-  return "dp" + std::to_string(id);
 }
 
-/// Human-readable event label for both exporters.
-std::string event_label(const TraceEvent& e, const IseLibrary* lib) {
+/// Human-readable event label for both exporters, JSON-escaped.
+void put_label(TextBuffer& out, const TraceEvent& e, const IseLibrary* lib) {
   switch (e.kind) {
     case TraceEventKind::kBlockBegin:
     case TraceEventKind::kBlockEnd:
-      return "FB" + std::to_string(e.arg0);
+      out << "FB" << e.arg0;
+      return;
     case TraceEventKind::kEcuDecision:
     case TraceEventKind::kEcuUpgrade:
-      return kernel_name(lib, e.arg0) + ": " + impl_kind_name(e.arg1);
+      put_kernel(out, lib, e.arg0);
+      out << ": " << impl_kind_name(e.arg1);
+      return;
     case TraceEventKind::kMonoCgAttempt:
-      return kernel_name(lib, e.arg0) +
-             (e.arg1 != 0 ? ": monoCG acquired" : ": monoCG unavailable");
+      put_kernel(out, lib, e.arg0);
+      out << (e.arg1 != 0 ? ": monoCG acquired" : ": monoCG unavailable");
+      return;
     case TraceEventKind::kSelectorEval:
     case TraceEventKind::kSelectorPick:
-      return kernel_name(lib, e.arg0) + "/" + ise_name(lib, e.arg1);
+      put_kernel(out, lib, e.arg0);
+      out << '/';
+      put_ise(out, lib, e.arg1);
+      return;
     case TraceEventKind::kMpuError:
-      return kernel_name(lib, e.arg1);
+      put_kernel(out, lib, e.arg1);
+      return;
     case TraceEventKind::kReconfigStart:
     case TraceEventKind::kReconfigComplete:
     case TraceEventKind::kCgContextSwitch:
-      return dp_name(lib, e.arg0);
+      put_dp(out, lib, e.arg0);
+      return;
     case TraceEventKind::kReconfigCancel:
-      return "cancelled loads";
+      out << "cancelled loads";
+      return;
     case TraceEventKind::kOccupancy:
-      return "fabric occupancy";
+      out << "fabric occupancy";
+      return;
     case TraceEventKind::kFaultInject:
-      return dp_name(lib, e.arg0) + ": fault injected";
+      put_dp(out, lib, e.arg0);
+      out << ": fault injected";
+      return;
     case TraceEventKind::kReconfigRetry:
-      return dp_name(lib, e.arg0) + ": retry " + std::to_string(e.arg1);
+      put_dp(out, lib, e.arg0);
+      out << ": retry " << e.arg1;
+      return;
     case TraceEventKind::kQuarantine:
-      return (e.arg1 == static_cast<std::uint32_t>(Grain::kFine)
-                  ? "PRC "
-                  : "CG fabric ") +
-             std::to_string(e.arg0) + " quarantined";
+      out << (e.arg1 == static_cast<std::uint32_t>(Grain::kFine) ? "PRC "
+                                                                 : "CG fabric ")
+          << e.arg0 << " quarantined";
+      return;
     case TraceEventKind::kScrubRepair:
-      return dp_name(lib, e.arg0) + ": scrub repair";
+      put_dp(out, lib, e.arg0);
+      out << ": scrub repair";
+      return;
     case TraceEventKind::kSelectorCacheStats:
-      return "profit cache hits/misses";
+      out << "profit cache hits/misses";
+      return;
     case TraceEventKind::kTenantEviction:
-      return "tenant " + std::to_string(static_cast<std::uint64_t>(e.v0)) +
-             " evicted tenant " + std::to_string(e.arg0);
+      out << "tenant " << static_cast<std::uint64_t>(e.v0)
+          << " evicted tenant " << e.arg0;
+      return;
     case TraceEventKind::kTenantQuotaHit:
-      return "eviction redirected onto over-quota tenant " +
-             std::to_string(e.arg0);
+      out << "eviction redirected onto over-quota tenant " << e.arg0;
+      return;
     case TraceEventKind::kTenantAdmission:
-      return "task " + std::to_string(e.arg0) +
-             (e.arg1 != 0 ? " admitted" : " bounced");
+      out << "task " << e.arg0 << (e.arg1 != 0 ? " admitted" : " bounced");
+      return;
     case TraceEventKind::kTenantCompletion:
-      return "task " + std::to_string(e.arg0) + " completed";
+      out << "task " << e.arg0 << " completed";
+      return;
     case TraceEventKind::kMigrationStart:
-    case TraceEventKind::kMigrationComplete: {
-      const char* unit =
-          e.arg1 == static_cast<std::uint32_t>(Grain::kFine) ? "PRC"
-                                                             : "CG fabric";
-      return dp_name(lib, e.arg0) + ": " + unit + " " +
-             std::to_string(static_cast<std::uint64_t>(e.v0)) + " -> " +
-             std::to_string(static_cast<std::uint64_t>(e.v1));
-    }
+    case TraceEventKind::kMigrationComplete:
+      put_dp(out, lib, e.arg0);
+      out << ": "
+          << (e.arg1 == static_cast<std::uint32_t>(Grain::kFine) ? "PRC"
+                                                                 : "CG fabric")
+          << ' ' << static_cast<std::uint64_t>(e.v0) << " -> "
+          << static_cast<std::uint64_t>(e.v1);
+      return;
     case TraceEventKind::kSnapshotSave:
-      return "checkpoint #" + std::to_string(e.arg0) + " saved";
+      out << "checkpoint #" << e.arg0 << " saved";
+      return;
     case TraceEventKind::kSnapshotRestore:
-      return "checkpoint #" + std::to_string(e.arg0) + " restored";
+      out << "checkpoint #" << e.arg0 << " restored";
+      return;
     case TraceEventKind::kCoreSlice:
-      return "core " + std::to_string(e.arg0) + ": " +
-             std::to_string(e.arg1) + " block(s)";
+      out << "core " << e.arg0 << ": " << e.arg1 << " block(s)";
+      return;
     case TraceEventKind::kCoreTransfer:
-      return "core " + std::to_string(e.arg0) + ": " +
-             std::to_string(e.arg1) + " transfer(s)";
+      out << "core " << e.arg0 << ": " << e.arg1 << " transfer(s)";
+      return;
   }
-  return "?";
+  out << '?';
 }
 
 }  // namespace
@@ -237,57 +226,63 @@ double trace_cycles_to_us(Cycles c) {
 
 void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events,
                         const IseLibrary* lib) {
-  os << "{\"traceEvents\":[\n";
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-        "\"args\":{\"name\":\"mRTS simulation\"}}";
+  TextBuffer out(os);
+  out << "{\"traceEvents\":[\n"
+         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+         "\"args\":{\"name\":\"mRTS simulation\"}}";
 
   // Name every track that appears; sort index keeps the RTS tracks on top
   // and the fabric tracks grouped below.
   std::set<std::int32_t> tracks;
   for (const auto& e : events) tracks.insert(e.track);
   for (std::int32_t t : tracks) {
-    os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << t
-       << ",\"args\":{\"name\":\"" << json_escape(track_name(t)) << "\"}}";
-    os << ",\n{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-       << t << ",\"args\":{\"sort_index\":" << t << "}}";
+    out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << t
+        << ",\"args\":{\"name\":\"";
+    out.json_escaped(track_name(t));
+    out << "\"}},\n{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,"
+           "\"tid\":"
+        << t << ",\"args\":{\"sort_index\":" << t << "}}";
   }
 
   for (const auto& e : events) {
-    const std::string label = json_escape(event_label(e, lib));
-    const std::string ts = format_double(trace_cycles_to_us(e.at));
-    os << ",\n";
+    out << ",\n{\"name\":\"";
+    put_label(out, e, lib);
+    out << "\",\"cat\":\"" << to_string(e.kind);
     if (e.kind == TraceEventKind::kOccupancy) {
       // Counter track: Perfetto renders it as a stacked area chart.
-      os << "{\"name\":\"" << label << "\",\"cat\":\"" << to_string(e.kind)
-         << "\",\"ph\":\"C\",\"pid\":1,\"ts\":" << ts
-         << ",\"args\":{\"reserved_prcs\":" << format_double(e.v0)
-         << ",\"reserved_cg\":" << format_double(e.v1) << "}}";
+      out << "\",\"ph\":\"C\",\"pid\":1,\"ts\":"
+          << JsonNumber{trace_cycles_to_us(e.at)}
+          << ",\"args\":{\"reserved_prcs\":" << JsonNumber{e.v0}
+          << ",\"reserved_cg\":" << JsonNumber{e.v1} << "}}";
       continue;
     }
-    os << "{\"name\":\"" << label << "\",\"cat\":\"" << to_string(e.kind)
-       << "\",\"pid\":1,\"tid\":" << e.track << ",\"ts\":" << ts;
+    out << "\",\"pid\":1,\"tid\":" << e.track
+        << ",\"ts\":" << JsonNumber{trace_cycles_to_us(e.at)};
     if (e.duration > 0) {
-      os << ",\"ph\":\"X\",\"dur\":" << format_double(trace_cycles_to_us(e.duration));
+      out << ",\"ph\":\"X\",\"dur\":"
+          << JsonNumber{trace_cycles_to_us(e.duration)};
     } else {
-      os << ",\"ph\":\"i\",\"s\":\"t\"";
+      out << ",\"ph\":\"i\",\"s\":\"t\"";
     }
-    os << ",\"args\":{\"at_cycles\":" << e.at << ",\"arg0\":" << e.arg0
-       << ",\"arg1\":" << e.arg1 << ",\"tenant\":" << e.tenant
-       << ",\"v0\":" << format_double(e.v0)
-       << ",\"v1\":" << format_double(e.v1) << "}}";
+    out << ",\"args\":{\"at_cycles\":" << e.at << ",\"arg0\":" << e.arg0
+        << ",\"arg1\":" << e.arg1 << ",\"tenant\":" << e.tenant
+        << ",\"v0\":" << JsonNumber{e.v0} << ",\"v1\":" << JsonNumber{e.v1}
+        << "}}";
   }
-  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
+  out << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }
 
 void write_trace_jsonl(std::ostream& os, const std::vector<TraceEvent>& events,
                        const IseLibrary* lib) {
+  TextBuffer out(os);
   for (const auto& e : events) {
-    os << "{\"kind\":\"" << to_string(e.kind) << "\",\"at\":" << e.at
-       << ",\"dur\":" << e.duration << ",\"track\":" << e.track
-       << ",\"arg0\":" << e.arg0 << ",\"arg1\":" << e.arg1
-       << ",\"tenant\":" << e.tenant
-       << ",\"v0\":" << format_double(e.v0) << ",\"v1\":" << format_double(e.v1)
-       << ",\"label\":\"" << json_escape(event_label(e, lib)) << "\"}\n";
+    out << "{\"kind\":\"" << to_string(e.kind) << "\",\"at\":" << e.at
+        << ",\"dur\":" << e.duration << ",\"track\":" << e.track
+        << ",\"arg0\":" << e.arg0 << ",\"arg1\":" << e.arg1
+        << ",\"tenant\":" << e.tenant << ",\"v0\":" << JsonNumber{e.v0}
+        << ",\"v1\":" << JsonNumber{e.v1} << ",\"label\":\"";
+    put_label(out, e, lib);
+    out << "\"}\n";
   }
 }
 
@@ -313,11 +308,11 @@ namespace {
 
 /// Extracts the raw token following `"key":` in a flat one-line JSON object;
 /// nullopt when the key is absent.
-std::optional<std::string> json_token(const std::string& line,
-                                      const char* key) {
+std::optional<std::string_view> json_token(std::string_view line,
+                                           const char* key) {
   const std::string needle = std::string("\"") + key + "\":";
   const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
+  if (pos == std::string_view::npos) return std::nullopt;
   std::size_t begin = pos + needle.size();
   std::size_t end = begin;
   if (begin < line.size() && line[begin] == '"') {
@@ -332,6 +327,30 @@ std::optional<std::string> json_token(const std::string& line,
     while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
   }
   return line.substr(begin, end - begin);
+}
+
+/// Parses a whole numeric token into \p out: the mirror of the writer's
+/// to_chars. Fails on an empty token, trailing characters, a sign the field
+/// cannot hold, a value out of the field's range and (doubles) non-finite
+/// values, which JSON cannot express.
+template <typename T>
+bool parse_number(std::string_view token, T* out) {
+  T v{};
+  const char* const last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, v);
+  if (ec != std::errc() || ptr != last) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return false;
+  }
+  *out = v;
+  return true;
+}
+
+/// Optional numeric field: absent leaves \p out as is; present must parse.
+template <typename T>
+bool parse_field(std::string_view line, const char* key, T* out) {
+  const auto token = json_token(line, key);
+  return !token || parse_number(*token, out);
 }
 
 }  // namespace
@@ -351,30 +370,16 @@ std::optional<TraceEvent> parse_trace_jsonl_line(const std::string& line) {
 
   TraceEvent e;
   e.kind = *kind;
-  char* end = nullptr;
-  e.at = std::strtoull(at_token->c_str(), &end, 10);
-  if (end == at_token->c_str()) return std::nullopt;
-  if (const auto t = json_token(line, "dur")) {
-    e.duration = std::strtoull(t->c_str(), nullptr, 10);
-  }
-  if (const auto t = json_token(line, "track")) {
-    e.track = static_cast<std::int32_t>(std::strtol(t->c_str(), nullptr, 10));
-  }
-  if (const auto t = json_token(line, "arg0")) {
-    e.arg0 = static_cast<std::uint32_t>(std::strtoul(t->c_str(), nullptr, 10));
-  }
-  if (const auto t = json_token(line, "arg1")) {
-    e.arg1 = static_cast<std::uint32_t>(std::strtoul(t->c_str(), nullptr, 10));
-  }
-  if (const auto t = json_token(line, "tenant")) {
-    // Optional so traces written before the tenant field existed still parse.
-    e.tenant = static_cast<std::uint32_t>(std::strtoul(t->c_str(), nullptr, 10));
-  }
-  if (const auto t = json_token(line, "v0")) {
-    e.v0 = std::strtod(t->c_str(), nullptr);
-  }
-  if (const auto t = json_token(line, "v1")) {
-    e.v1 = std::strtod(t->c_str(), nullptr);
+  // "tenant" is optional so traces written before the field existed still
+  // parse; the writer always emits the others.
+  if (!parse_number(*at_token, &e.at) ||
+      !parse_field(line, "dur", &e.duration) ||
+      !parse_field(line, "track", &e.track) ||
+      !parse_field(line, "arg0", &e.arg0) ||
+      !parse_field(line, "arg1", &e.arg1) ||
+      !parse_field(line, "tenant", &e.tenant) ||
+      !parse_field(line, "v0", &e.v0) || !parse_field(line, "v1", &e.v1)) {
+    return std::nullopt;
   }
   return e;
 }

@@ -198,7 +198,8 @@ bool write_trace_jsonl_file(const std::string& path,
                             const IseLibrary* lib = nullptr);
 
 /// Parses one JSONL line produced by write_trace_jsonl (labels are ignored;
-/// they are derived data). nullopt on malformed input.
+/// they are derived data). nullopt on malformed input, including a numeric
+/// token that is not consumed whole or does not fit its field.
 std::optional<TraceEvent> parse_trace_jsonl_line(const std::string& line);
 
 /// A whole JSONL trace read into memory — the reusable event stream behind

@@ -39,7 +39,8 @@ struct MultiTenantApp {
 MultiTenantApp make_apps(unsigned tenants, unsigned blocks) {
   MultiTenantApp app;
   for (unsigned i = 0; i < tenants; ++i) {
-    const std::string name = "T" + std::to_string(i);
+    std::string name = "T";
+    name += std::to_string(i);
     IseBuildSpec spec;
     spec.kernel_name = name;
     spec.sw_latency = 700;
@@ -492,12 +493,13 @@ DeterminismProbe run_scenario(unsigned tenants) {
   std::vector<std::unique_ptr<MRts>> systems;
   std::vector<Task> tasks(tenants);
   for (unsigned i = 0; i < tenants; ++i) {
-    regs.push_back(
-        arbiter.register_tenant("T" + std::to_string(i), weighted(1 + i)));
+    std::string name = "T";
+    name += std::to_string(i);
+    regs.push_back(arbiter.register_tenant(name, weighted(1 + i)));
     systems.push_back(
         std::make_unique<MRts>(app.library, arbiter.binding(regs[i].id)));
     systems[i]->attach_observability(&recorder, &counters);
-    tasks[i].name = "T" + std::to_string(i);
+    tasks[i].name = std::move(name);
     tasks[i].rts = systems[i].get();
     tasks[i].trace = &app.traces[i];
     tasks[i].tenant = regs[i].id;

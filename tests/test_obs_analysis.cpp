@@ -132,6 +132,101 @@ TEST(ObsTraceParser, MalformedMiddleLineNamesTheLineNumber) {
   EXPECT_EQ(parsed.events.size(), 1u);
 }
 
+/// A well-formed JSONL line with one field's token replaced.
+std::string line_with(const std::string& key, const std::string& token) {
+  std::string line =
+      "{\"kind\":\"block_end\",\"at\":5,\"dur\":3,\"track\":0,\"arg0\":1,"
+      "\"arg1\":2,\"tenant\":0,\"v0\":0.5,\"v1\":0,\"label\":\"FB1\"}";
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t begin = line.find(needle) + needle.size();
+  const std::size_t end = line.find_first_of(",}", begin);
+  return line.replace(begin, end - begin, token);
+}
+
+TEST(ObsTraceParser, WellFormedLineParsesEveryField) {
+  const auto e = parse_trace_jsonl_line(line_with("track", "-7"));
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->kind, TraceEventKind::kBlockEnd);
+  EXPECT_EQ(e->at, 5u);
+  EXPECT_EQ(e->duration, 3u);
+  EXPECT_EQ(e->track, -7);
+  EXPECT_EQ(e->arg0, 1u);
+  EXPECT_EQ(e->arg1, 2u);
+  EXPECT_DOUBLE_EQ(e->v0, 0.5);
+}
+
+TEST(ObsTraceParser, RejectsMalformedNumbers) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"dur", "-3"},             // negative into an unsigned field
+      {"arg0", "abc"},           // not a number
+      {"arg1", "4294967297"},    // does not fit u32
+      {"v0", "1.5xyz"},          // trailing junk
+      {"at", "12junk"},          // trailing junk
+      {"at", "18446744073709551616"},  // does not fit u64
+      {"at", ""},                // empty token
+      {"at", " 12"},             // not the whole token
+      {"track", "2147483648"},   // does not fit i32
+      {"tenant", "+1"},          // JSON has no leading plus
+      {"v1", "nan"},             // JSON has no nan/inf literals
+      {"v1", "1e999"},           // out of double range
+  };
+  for (const auto& [key, token] : bad) {
+    EXPECT_FALSE(parse_trace_jsonl_line(line_with(key, token)).has_value())
+        << key << ":" << token;
+  }
+  // The largest values each field holds still parse.
+  const auto max_at = parse_trace_jsonl_line(line_with("at", "18446744073709551615"));
+  ASSERT_TRUE(max_at.has_value());
+  EXPECT_EQ(max_at->at, 18446744073709551615u);
+  EXPECT_TRUE(parse_trace_jsonl_line(line_with("arg1", "4294967295")));
+  EXPECT_TRUE(parse_trace_jsonl_line(line_with("track", "-2147483648")));
+  EXPECT_TRUE(parse_trace_jsonl_line(line_with("v0", "-1.5e-300")));
+}
+
+TEST(ObsTraceParser, MalformedNumberIsAParseErrorInSummaries) {
+  // The span must not absorb a wrapped negative duration.
+  std::istringstream is(line_with("dur", "-3") + "\n" + line_with("at", "9") +
+                        "\n");
+  const TraceSummary summary = summarize_trace_jsonl(is);
+  EXPECT_EQ(summary.parse_errors, 1u);
+  EXPECT_EQ(summary.first_bad_line, 1u);
+  EXPECT_EQ(summary.total_events, 1u);
+  EXPECT_EQ(summary.last_cycle, 12u);
+}
+
+TEST(ObsTraceParser, EveryWrittenLineParsesAndRewritesIdentically) {
+  // Extreme but representable field values: the writer's output parses, and
+  // writing the parsed events again gives the same bytes.
+  std::vector<TraceEvent> events;
+  const double doubles[] = {0.0,    -0.0,        0.1,     123456789.25,
+                            1e300,  -4.9e-324,   2.5e-3,  9007199254740991.0,
+                            1e17,   -1234.5678901234};
+  std::uint32_t i = 0;
+  for (const double v : doubles) {
+    TraceEvent e;
+    e.kind = static_cast<TraceEventKind>(i % kNumTraceEventKinds);
+    e.track = i % 2 == 0 ? -2147483647 - 1 : 2147483647;
+    e.at = 18446744073709551615u - i;
+    e.duration = i;
+    e.arg0 = 4294967295u;
+    e.arg1 = i;
+    e.v0 = v;
+    e.v1 = -v;
+    e.tenant = 4294967295u - i;
+    events.push_back(e);
+    ++i;
+  }
+  std::ostringstream first;
+  write_trace_jsonl(first, events);
+  std::istringstream in(first.str());
+  const ParsedTrace parsed = parse_trace_jsonl(in);
+  ASSERT_TRUE(parsed.ok()) << "bad line " << parsed.bad_line;
+  ASSERT_EQ(parsed.events.size(), events.size());
+  std::ostringstream second;
+  write_trace_jsonl(second, parsed.events);
+  EXPECT_EQ(second.str(), first.str());
+}
+
 // ---------------------------------------------------------------------------
 // Shape inference (obs/analysis.h)
 

@@ -298,7 +298,8 @@ TEST(HeuristicSelector, WorkIsLinearInCandidates) {
     IseLibrary lib;
     for (unsigned k = 0; k < kernels; ++k) {
       IseBuildSpec spec;
-      spec.kernel_name = "N" + std::to_string(k);
+      spec.kernel_name = "N";
+      spec.kernel_name += std::to_string(k);
       spec.sw_latency = 700;
       spec.control_fraction = 0.4;
       spec.fg_data_path_names = {spec.kernel_name + "_f1",

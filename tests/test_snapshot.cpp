@@ -326,5 +326,49 @@ TEST(Snapshot, FileRoundTripIsAtomicAndWhole) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(Snapshot, ImageIsBuiltIntoOneExactlySizedBuffer) {
+  // The snapshot of a traced run mid-flight: the payload after the runtime
+  // state is reserved up front, so the buffer never regrows past its bytes.
+  ObservedRun run;
+  ASSERT_FALSE(run.run(2'000'000));
+  ASSERT_GT(run.rec.size(), 100u);
+  const std::vector<std::uint8_t> bytes = build_snapshot(
+      test_meta(), run.rts, run.progress, &run.rec, &run.ctr);
+  EXPECT_EQ(bytes.capacity(), bytes.size());
+  const std::vector<std::uint8_t> untraced =
+      build_snapshot(test_meta(), run.rts, run.progress, nullptr, nullptr);
+  EXPECT_EQ(untraced.capacity(), untraced.size());
+}
+
+/// The byte-at-a-time CRC-32 the slicing-by-8 version replaced.
+std::uint32_t bytewise_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotCrc, MatchesTheBytewiseCrcAtEveryLengthAndAlignment) {
+  const std::string check = "123456789";
+  EXPECT_EQ(snapshot_crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                           check.size()),
+            0xCBF43926u);  // the standard CRC-32 check value
+  EXPECT_EQ(snapshot_crc32(nullptr, 0), 0u);
+  Rng rng(99);
+  std::vector<std::uint8_t> bytes(300);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; offset + size <= bytes.size(); ++size) {
+      ASSERT_EQ(snapshot_crc32(bytes.data() + offset, size),
+                bytewise_crc32(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mrts

@@ -1,17 +1,25 @@
-// Unit tests for src/util: RNG, statistics, CSV/table writers and the
-// cycle-conversion helpers in types.h.
+// Unit tests for src/util: RNG, statistics, CSV/table writers, the shared
+// number formatter and append buffer, and the cycle-conversion helpers in
+// types.h.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <set>
+#include <sstream>
 
 #include "util/csv.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/text_buffer.h"
 #include "util/types.h"
 
 namespace mrts {
@@ -230,6 +238,123 @@ TEST(Csv, IntegralDoublesKeepEveryDigit) {
   // figure CSVs depend on its rounding (e.g. fig11's fairness column).
   EXPECT_EQ(CsvWriter::to_cell(2.5), "2.5");
   EXPECT_EQ(CsvWriter::to_cell(3.0596940034), "3.059694003");
+}
+
+// ---------------------------------------------------------------------------
+// The shared number formatter (util/text_buffer.h) against the printf
+// conversions it replaces: the committed CSVs, traces and reports were
+// written with snprintf "%.0f" (integral doubles below 2^53) and "%.10g"
+// (everything else), so every byte must agree.
+
+std::string printf_reference(double v) {
+  char buf[64];
+  if (std::isfinite(v) && v == std::floor(v) &&
+      std::fabs(v) < 9007199254740992.0 /* 2^53 */) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.10g", v);
+  }
+  return buf;
+}
+
+std::string formatted(double v) {
+  char buf[kNumberChars];
+  return std::string(buf, format_number(buf, v));
+}
+
+std::string json_formatted(double v) {
+  std::ostringstream os;
+  TextBuffer(os).json_number(v);
+  return os.str();
+}
+
+TEST(NumberFormat, MatchesPrintfOnEdgeValues) {
+  constexpr double kTwo53 = 9007199254740992.0;
+  const double values[] = {
+      kTwo53, -kTwo53, kTwo53 - 1, -(kTwo53 - 1),
+      std::nextafter(kTwo53, 0.0), std::nextafter(kTwo53, INFINITY),
+      kTwo53 + 2, kTwo53 * 2, 0.0, -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MIN, -DBL_MIN,
+      DBL_MAX, -DBL_MAX, 1e300, -1e300, 1e16, 1e17, 123456789012345678.0,
+      0.1, 0.2, 0.3, 1.0 / 3.0, 2.0 / 3.0, 0.5, 2.5, 1e-5, 1e-4, 9.9999999995,
+      0.0000152587890625,
+      // Exact binary values with 11 significant digits ending in 5: ties
+      // at the 10-digit rounding.
+      123456789.25, 123456789.75, 12345678.125, 12345678.375, 1234567890.5,
+      1234567891.5, -123456789.25,
+      // The values a trace actually carries: cycle * 0.0025 us timestamps.
+      0.0025, 2.5e-3 * 1234567, 2.5e-3 * 15000001, 9999999999.5,
+      99999999995.0, 4294967295.0, 18446744073709551616.0};
+  for (const double v : values) {
+    EXPECT_EQ(formatted(v), printf_reference(v)) << "bits of " << v;
+  }
+}
+
+TEST(NumberFormat, MatchesPrintfOnSeededRandomBitPatterns) {
+  std::mt19937_64 gen(20261019);
+  std::uniform_real_distribution<double> near(-1.0e6, 1.0e6);
+  std::uniform_int_distribution<std::int64_t> cycles(0, std::int64_t{1} << 40);
+  for (int i = 0; i < 200000; ++i) {
+    double v = 0.0;
+    switch (i % 4) {
+      case 0: {  // any bit pattern: every exponent, subnormals, inf, nan
+        const std::uint64_t bits = gen();
+        std::memcpy(&v, &bits, sizeof v);
+        break;
+      }
+      case 1: v = near(gen); break;
+      case 2: v = static_cast<double>(cycles(gen)); break;
+      default: v = static_cast<double>(cycles(gen)) * 0.0025; break;
+    }
+    ASSERT_EQ(formatted(v), printf_reference(v)) << "iteration " << i;
+  }
+}
+
+TEST(NumberFormat, NonFiniteFollowsTheWritersRule) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // CSV: what printf prints.
+  for (const double v : {inf, -inf, nan, -nan}) {
+    EXPECT_EQ(CsvWriter::to_cell(v), printf_reference(v));
+  }
+  EXPECT_EQ(CsvWriter::to_cell(inf), "inf");
+  EXPECT_EQ(CsvWriter::to_cell(-inf), "-inf");
+  EXPECT_EQ(CsvWriter::to_cell(nan), "nan");
+  // JSON has no inf/nan literals: 0.
+  for (const double v : {inf, -inf, nan, -nan}) {
+    EXPECT_EQ(json_formatted(v), "0");
+  }
+  EXPECT_EQ(json_formatted(-0.0), "-0");
+  EXPECT_EQ(json_formatted(0.1), "0.1");
+}
+
+TEST(TextBuffer, FlushesToTheSinkInChunks) {
+  std::ostringstream os;
+  std::string expected;
+  {
+    TextBuffer out(os);
+    const std::string line = "{\"at\":12345,\"v0\":0.0025}\n";
+    while (expected.size() < 3 * TextBuffer::kChunkBytes) {
+      out << line;
+      expected += line;
+    }
+    // Whole chunks have reached the sink; at most one chunk is held back.
+    EXPECT_GE(os.str().size(), expected.size() - TextBuffer::kChunkBytes);
+    EXPECT_LT(os.str().size(), expected.size());
+    // Text longer than a chunk passes straight through, in order.
+    const std::string big(TextBuffer::kChunkBytes + 7, 'x');
+    out << big << 'y' << std::uint64_t{18446744073709551615u}
+        << std::int32_t{-5};
+    expected += big + "y18446744073709551615-5";
+  }
+  EXPECT_EQ(os.str(), expected);
+}
+
+TEST(TextBuffer, JsonEscapedMatchesTheJsonRules) {
+  std::ostringstream os;
+  TextBuffer(os).json_escaped("a\"b\\c\nd\re\tf\x01g\x1fh\x7f\xc3\xa9");
+  EXPECT_EQ(os.str(), "a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh\x7f\xc3\xa9");
 }
 
 TEST(TextTable, RendersAlignedColumns) {
