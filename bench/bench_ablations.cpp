@@ -8,8 +8,6 @@
 // runs on a private MRts instance and results merge in submission order, so
 // the output is byte-identical to `--jobs 1`.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 #include <vector>
@@ -119,26 +117,6 @@ void run_sweep(unsigned jobs) {
   });
 }
 
-/// Reporting stub over the precomputed sweep results.
-void BM_Ablation(benchmark::State& state, std::string name) {
-  const EvalContext& ctx = context();
-  const Cycles cycles = results()[name];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cycles);
-  }
-  state.counters["speedup_vs_risc"] = speedup(ctx.risc_cycles, cycles);
-}
-
-void register_benchmarks() {
-  for (const auto& v : variants()) {
-    benchmark::RegisterBenchmark(
-        (std::string("BM_Ablation/") + v.name).c_str(), BM_Ablation,
-        std::string(v.name))
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
 void print_table() {
   const EvalContext& ctx = context();
   const Cycles full = results()["full mRTS"];
@@ -164,11 +142,10 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
-  ::benchmark::Initialize(&argc, argv);
-  run_sweep(jobs);
-  register_benchmarks();
-  ::benchmark::RunSpecifiedBenchmarks();
+  run_sweep(parse_bench_args(argc, argv,
+                             "Ablations: mRTS design choices on 2 PRCs + 2 "
+                             "CG fabrics")
+                .jobs);
   print_table();
   return 0;
 }

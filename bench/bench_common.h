@@ -1,7 +1,8 @@
 #pragma once
 /// \file bench_common.h
 /// Shared helpers for the figure-regeneration benches. Every bench binary
-/// reproduces one table/figure of the paper's evaluation section: it runs
+/// is a plain program that reproduces one table/figure of the paper's
+/// evaluation section: it parses its flag table (parse_bench_args), runs
 /// the full simulation, prints the figure's rows/series as an ASCII table
 /// and dumps a CSV (<bench>.csv) for external plotting.
 
@@ -10,11 +11,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "baselines/morpheus4s_rts.h"
 #include "baselines/offline_optimal_rts.h"
@@ -25,6 +28,7 @@
 #include "sim/machine.h"
 #include "sim/metrics.h"
 #include "sim/sweep_runner.h"
+#include "util/cli_spec.h"
 #include "util/counters.h"
 #include "util/csv.h"
 #include "util/fastpath.h"
@@ -34,16 +38,68 @@
 
 namespace mrts::bench {
 
+namespace detail {
+
+/// Strict full-token parsers, mirroring the mrts_cli contract: malformed
+/// values (negative/NaN rates, signed or overflowing seeds and job counts)
+/// are input errors — exit code 2, never silently clamped.
+inline bool parse_probability_token(const char* s, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0') return false;
+  if (!(v >= 0.0 && v <= 1.0)) return false;  // NaN fails every comparison
+  *out = v;
+  return true;
+}
+
+inline bool parse_u64_token(const char* s, std::uint64_t* out) {
+  if (s[0] == '\0' || s[0] == '-' || s[0] == '+') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+[[noreturn]] inline void flag_error(const char* flag, const char* value,
+                                    const char* expected) {
+  std::fprintf(stderr, "error: invalid %s '%s' (expected %s)\n", flag, value,
+               expected);
+  std::exit(2);
+}
+
+/// Parses an unsigned count in [min, max]; anything else exits 2 naming
+/// \p flag.
+inline unsigned parse_count(const char* flag, const char* value,
+                            unsigned min, unsigned max,
+                            const char* expected) {
+  std::uint64_t v = 0;
+  if (!parse_u64_token(value, &v) || v < min || v > max) {
+    flag_error(flag, value, expected);
+  }
+  return static_cast<unsigned>(v);
+}
+
+constexpr unsigned kMaxCount = std::numeric_limits<unsigned>::max();
+
+}  // namespace detail
+
+/// The H.264 frame count of the evaluation workload: 16, or
+/// MRTS_BENCH_FRAMES (smaller = faster smoke run). A malformed, zero or
+/// out-of-range value exits 2.
+inline unsigned bench_frames() {
+  const char* env = std::getenv("MRTS_BENCH_FRAMES");
+  if (env == nullptr) return 16;
+  return detail::parse_count("MRTS_BENCH_FRAMES", env, 1, detail::kMaxCount,
+                             "a frame count >= 1");
+}
+
 /// Evaluation workload of Section 5: the H.264 encoder model at CIF size.
-/// MRTS_BENCH_FRAMES overrides the frame count (smaller = faster smoke run).
 inline H264AppParams eval_params() {
   H264AppParams params;
-  params.frames = 16;
+  params.frames = bench_frames();
   params.macroblocks = 396;
-  if (const char* env = std::getenv("MRTS_BENCH_FRAMES")) {
-    const int frames = std::atoi(env);
-    if (frames > 0) params.frames = static_cast<unsigned>(frames);
-  }
   return params;
 }
 
@@ -95,86 +151,6 @@ struct EvalContext {
   }
 };
 
-namespace detail {
-
-/// Strict full-token parsers, mirroring the mrts_cli contract: malformed
-/// values (negative/NaN rates, signed or overflowing seeds and job counts)
-/// are input errors — exit code 2, never silently clamped.
-inline bool parse_probability_token(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;  // NaN fails every comparison
-  *out = v;
-  return true;
-}
-
-inline bool parse_u64_token(const char* s, std::uint64_t* out) {
-  if (s[0] == '\0' || s[0] == '-' || s[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-[[noreturn]] inline void flag_error(const char* flag, const char* value,
-                                    const char* expected) {
-  std::fprintf(stderr, "error: invalid %s '%s' (expected %s)\n", flag, value,
-               expected);
-  std::exit(2);
-}
-
-}  // namespace detail
-
-/// Parses and strips a `--jobs N` / `--jobs=N` flag from the command line.
-/// Must run *before* benchmark::Initialize (google-benchmark rejects flags
-/// it does not know). Returns the sweep worker count: 0 means "one worker
-/// per hardware thread" (SweepRunner resolves it); `--jobs 1` is the exact
-/// legacy serial path. The MRTS_BENCH_JOBS environment variable supplies
-/// the default when the flag is absent. A malformed, negative or
-/// out-of-range count (or a `--jobs` without a value) exits with code 2
-/// before any worker starts.
-inline unsigned parse_jobs(int* argc, char** argv) {
-  const auto parse = [](const char* flag, const char* value) {
-    std::uint64_t v = 0;
-    if (!detail::parse_u64_token(value, &v) ||
-        v > std::numeric_limits<unsigned>::max()) {
-      detail::flag_error(flag, value,
-                         "a worker count, 0 = one per hardware thread");
-    }
-    return static_cast<unsigned>(v);
-  };
-  unsigned jobs = 0;
-  if (const char* env = std::getenv("MRTS_BENCH_JOBS")) {
-    jobs = parse("MRTS_BENCH_JOBS", env);
-  }
-  int out = 1;  // argv[0] always kept
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--jobs") == 0) {
-      jobs = parse("--jobs", i + 1 < *argc ? argv[++i] : "");
-      continue;
-    }
-    if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      jobs = parse("--jobs", arg + 7);
-      continue;
-    }
-    if (std::strcmp(arg, "--no-bb-cache") == 0) {
-      // A/B switch for the simulator fast paths (decoded basic-block
-      // caches + batched frame execution): force the plain interpreter /
-      // per-event oracle. Output bytes must be identical either way.
-      set_fastpath_enabled(false);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  argv[out] = nullptr;
-  return jobs;
-}
-
 /// Fault-injection knobs shared by the benches (arch/fault_model.h). The
 /// defaults are fault-free so the committed figure CSVs stay byte-identical
 /// unless a fault rate is explicitly requested.
@@ -190,113 +166,104 @@ struct FaultFlags {
   }
 };
 
-/// Parses and strips `--fault-rate P`, `--fault-seed N` and
-/// `--max-retries N` flags (each also accepts the `--flag=value` form).
-/// Must run before benchmark::Initialize, like parse_jobs. Invalid values
-/// terminate with exit code 2 (documented input-error contract — the sweep
-/// must not run with a silently clamped fault configuration); so does a
-/// trailing flag without a value.
-/// MRTS_BENCH_FAULT_RATE / _FAULT_SEED / _MAX_RETRIES env variables supply
-/// defaults when the flags are absent and follow the same strict contract.
-inline FaultFlags parse_fault_flags(int* argc, char** argv) {
-  FaultFlags flags;
-  if (const char* env = std::getenv("MRTS_BENCH_FAULT_RATE")) {
-    if (!detail::parse_probability_token(env, &flags.rate)) {
-      detail::flag_error("MRTS_BENCH_FAULT_RATE", env,
-                         "a probability in [0,1]");
+/// What a harness's command line asked for (parse_bench_args).
+struct BenchOptions {
+  unsigned jobs = 0;      ///< sweep workers; 0 = one per hardware thread
+  FaultFlags fault;       ///< fault-free unless --fault-rate is given
+  std::string trace_dir;  ///< empty = tracing off
+};
+
+/// Parses a figure harness's command line against its flag table: `--jobs`
+/// and `--no-bb-cache` (every harness) plus \p extra_flags, the optional
+/// flags this harness acts on (`--fault-rate`, `--fault-seed`,
+/// `--max-retries`, `--trace-dir`). Value flags take `--flag V` or
+/// `--flag=V`. `--help` prints the table and exits 0; an argument outside
+/// the table, or a malformed, missing or out-of-range value, exits 2 naming
+/// it before any work starts. MRTS_BENCH_JOBS supplies the `--jobs` default
+/// and is held to the same contract, as is MRTS_BENCH_FRAMES.
+inline BenchOptions parse_bench_args(
+    int argc, char** argv, const char* summary,
+    std::initializer_list<std::string_view> extra_flags = {}) {
+  static const std::vector<CliFlag> optional = {
+      {"--fault-rate", "<p>",
+       "uniform fault probability in [0,1] (default 0 = fault-free)"},
+      {"--fault-seed", "<n>", "fault injector seed (default 42)"},
+      {"--max-retries", "<n>", "retries per failed load, 0..1000 (default 3)"},
+      {"--trace-dir", "<dir>",
+       "write one Chrome trace per mRTS run into <dir>"},
+  };
+  const char* binary = argc > 0 ? argv[0] : "bench";
+  CliSpec spec(std::filesystem::path(binary).filename().string(), summary,
+               "exit codes: 0 success, 2 input error");
+  CliVerb& verb = spec.add_verb("", "", "");
+  verb.flags = {
+      {"--jobs", "<n>",
+       "sweep workers: 0 = one per hardware thread, 1 = serial (default "
+       "MRTS_BENCH_JOBS, else 0)"},
+      {"--no-bb-cache", "",
+       "run the plain interpreter and per-event oracle (same output)"},
+  };
+  for (const std::string_view name : extra_flags) {
+    for (const CliFlag& f : optional) {
+      if (f.name == name) verb.flags.push_back(f);
     }
   }
-  if (const char* env = std::getenv("MRTS_BENCH_FAULT_SEED")) {
-    if (!detail::parse_u64_token(env, &flags.seed)) {
-      detail::flag_error("MRTS_BENCH_FAULT_SEED", env,
-                         "an unsigned 64-bit integer");
-    }
+
+  const char* jobs_expected = "a worker count, 0 = one per hardware thread";
+  BenchOptions opts;
+  if (const char* env = std::getenv("MRTS_BENCH_JOBS")) {
+    opts.jobs = detail::parse_count("MRTS_BENCH_JOBS", env, 0,
+                                    detail::kMaxCount, jobs_expected);
   }
-  if (const char* env = std::getenv("MRTS_BENCH_MAX_RETRIES")) {
-    std::uint64_t v = 0;
-    if (!detail::parse_u64_token(env, &v) || v > 1000) {
-      detail::flag_error("MRTS_BENCH_MAX_RETRIES", env,
-                         "an integer in [0,1000]");
+  (void)bench_frames();  // a bad MRTS_BENCH_FRAMES fails before any work
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help") {
+      std::fputs(spec.help().c_str(), stdout);
+      std::exit(0);
     }
-    flags.max_retries = static_cast<unsigned>(v);
-  }
-  int out = 1;  // argv[0] always kept
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    auto match = [&](const char* name) {
-      const std::size_t len = std::strlen(name);
-      if (std::strcmp(arg, name) == 0) {
-        // A trailing flag without a value is malformed, not ignored.
-        value = i + 1 < *argc ? argv[++i] : "";
-        return true;
-      }
-      if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-        value = arg + len + 1;
-        return true;
-      }
-      return false;
-    };
-    if (match("--fault-rate")) {
-      if (!detail::parse_probability_token(value, &flags.rate)) {
-        detail::flag_error("--fault-rate", value,
-                           "a probability in [0,1]");
-      }
-      continue;
+    const std::size_t eq = arg.find('=');
+    const std::string_view name = arg.substr(0, eq);
+    const CliFlag* flag = CliSpec::flag(verb, name);
+    if (flag == nullptr || (flag->value.empty() && eq != arg.npos)) {
+      std::fprintf(stderr, "error: unknown argument '%s' (see --help)\n",
+                   argv[i]);
+      std::exit(2);
     }
-    if (match("--fault-seed")) {
-      if (!detail::parse_u64_token(value, &flags.seed)) {
+    // A trailing value flag gets "" and fails its parser below.
+    const char* value = "";
+    if (eq != arg.npos) {
+      value = argv[i] + eq + 1;
+    } else if (!flag->value.empty() && i + 1 < argc) {
+      value = argv[++i];
+    }
+    if (name == "--jobs") {
+      opts.jobs = detail::parse_count("--jobs", value, 0, detail::kMaxCount,
+                                      jobs_expected);
+    } else if (name == "--no-bb-cache") {
+      // A/B switch for the simulator fast paths (decoded basic-block
+      // caches + batched frame execution). Output bytes are identical.
+      set_fastpath_enabled(false);
+    } else if (name == "--fault-rate") {
+      if (!detail::parse_probability_token(value, &opts.fault.rate)) {
+        detail::flag_error("--fault-rate", value, "a probability in [0,1]");
+      }
+    } else if (name == "--fault-seed") {
+      if (!detail::parse_u64_token(value, &opts.fault.seed)) {
         detail::flag_error("--fault-seed", value,
                            "an unsigned 64-bit integer");
       }
-      continue;
-    }
-    if (match("--max-retries")) {
-      std::uint64_t v = 0;
-      if (!detail::parse_u64_token(value, &v) || v > 1000) {
-        detail::flag_error("--max-retries", value,
-                           "an integer in [0,1000]");
+    } else if (name == "--max-retries") {
+      opts.fault.max_retries = detail::parse_count(
+          "--max-retries", value, 0, 1000, "an integer in [0,1000]");
+    } else if (name == "--trace-dir") {
+      if (*value == '\0') {
+        detail::flag_error("--trace-dir", value, "a directory path");
       }
-      flags.max_retries = static_cast<unsigned>(v);
-      continue;
+      opts.trace_dir = value;
     }
-    argv[out++] = argv[i];
   }
-  *argc = out;
-  argv[out] = nullptr;
-  return flags;
-}
-
-/// Parses and strips a `--trace-dir DIR` / `--trace-dir=DIR` flag (must run
-/// before benchmark::Initialize, like parse_jobs). When set, the bench
-/// writes one Chrome trace per mRTS sweep point into DIR. Empty string =
-/// tracing off (the default; traced runs pay the recording overhead, so the
-/// timing figures should normally run untraced). MRTS_BENCH_TRACE_DIR
-/// supplies the default when the flag is absent. A flag with an empty or
-/// missing DIR exits with code 2.
-inline std::string parse_trace_dir(int* argc, char** argv) {
-  std::string dir;
-  if (const char* env = std::getenv("MRTS_BENCH_TRACE_DIR")) dir = env;
-  int out = 1;  // argv[0] always kept
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--trace-dir") == 0) {
-      value = i + 1 < *argc ? argv[++i] : "";
-    } else if (std::strncmp(arg, "--trace-dir=", 12) == 0) {
-      value = arg + 12;
-    } else {
-      argv[out++] = argv[i];
-      continue;
-    }
-    if (*value == '\0') {
-      detail::flag_error("--trace-dir", value, "a directory path");
-    }
-    dir = value;
-  }
-  *argc = out;
-  argv[out] = nullptr;
-  return dir;
+  return opts;
 }
 
 /// Writes one sweep point's events as Chrome trace JSON into \p dir

@@ -4,8 +4,6 @@
 // sanity-check that the performance wins do not come at absurd
 // reconfiguration-energy cost.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.h"
@@ -20,19 +18,6 @@ const EvalContext& context() {
   static const EvalContext ctx;
   return ctx;
 }
-
-void BM_Energy_Mrts(benchmark::State& state) {
-  const EvalContext& ctx = context();
-  for (auto _ : state) {
-    MRts rts(ctx.app.library, 2, 2);
-    const AppRunResult run = run_application(rts, ctx.app.trace);
-    const EnergyBreakdown e =
-        estimate_energy(run, rts.fabric().reconfig_stats());
-    state.counters["total_mJ"] = e.total_mj();
-    state.counters["reconfig_mJ"] = e.reconfiguration_mj;
-  }
-}
-BENCHMARK(BM_Energy_Mrts)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void print_table() {
   const EvalContext& ctx = context();
@@ -109,9 +94,9 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)mrts::bench::parse_jobs(&argc, argv);  // strips --no-bb-cache too
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+  (void)parse_bench_args(argc, argv,
+                         "Energy model of every run-time system (beyond the "
+                         "paper)");
   print_table();
   return 0;
 }

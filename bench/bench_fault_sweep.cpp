@@ -11,9 +11,7 @@
 // own simulator stack (own MRts, own FaultModel seeded from --fault-seed),
 // and results merge in submission order, so the table and CSV are
 // byte-identical to `--jobs 1`. --fault-seed/--max-retries apply to every
-// point; --fault-rate is ignored here (the rate axis IS the figure).
-
-#include <benchmark/benchmark.h>
+// point; there is no --fault-rate flag here (the rate axis IS the figure).
 
 #include <cstdio>
 #include <map>
@@ -36,11 +34,11 @@ const EvalContext& context() {
   return ctx;
 }
 
-/// --fault-seed / --max-retries for every sweep point. Set once in main()
-/// before the fan-out, read-only afterwards.
-FaultFlags& fault_flags() {
-  static FaultFlags flags;
-  return flags;
+/// The command line: --fault-seed / --max-retries apply to every sweep
+/// point. Set once in main() before the fan-out, read-only afterwards.
+BenchOptions& options() {
+  static BenchOptions opts;
+  return opts;
 }
 
 /// The fault-rate axis. Rate 0 is the baseline row (must match the
@@ -70,8 +68,8 @@ PointResult run_point(double rate) {
   PointResult result;
   MRtsConfig config;
   if (rate > 0.0) {
-    config.fault = FaultModelConfig::uniform(rate, fault_flags().seed,
-                                             fault_flags().max_retries);
+    config.fault = FaultModelConfig::uniform(rate, options().fault.seed,
+                                             options().fault.max_retries);
   }
   MRts rts(ctx.app.library, kCgFabrics, kPrcs, config);
   static_cast<RuntimeSystem&>(rts).attach_observability(nullptr,
@@ -89,35 +87,6 @@ void run_sweep(unsigned jobs) {
       points()[rates()[i]] = results[i];
     }
   });
-}
-
-/// Reporting stub: the heavy work happened in run_sweep(); this publishes
-/// each rate's cycles/speedup under BM_FaultSweep/<permille> names.
-void BM_FaultSweep_Rate(benchmark::State& state) {
-  const double rate = static_cast<double>(state.range(0)) / 1000.0;
-  const PointResult& point = points()[rate];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(point.mrts_cycles);
-  }
-  state.counters["mrts_Mcycles"] =
-      static_cast<double>(point.mrts_cycles) / 1e6;
-  state.counters["speedup_vs_risc"] =
-      speedup(context().risc_cycles, point.mrts_cycles);
-  state.counters["faults_injected"] =
-      static_cast<double>(point.faults.injected);
-}
-
-void register_benchmarks() {
-  for (double rate : rates()) {
-    const long permille = static_cast<long>(rate * 1000.0 + 0.5);
-    benchmark::RegisterBenchmark(
-        ("BM_FaultSweep/rate_" + std::to_string(permille) + "permille")
-            .c_str(),
-        BM_FaultSweep_Rate)
-        ->Args({permille})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
 }
 
 void print_figure() {
@@ -149,7 +118,7 @@ void print_figure() {
   std::printf("\nFig. 11 — mRTS speedup vs fault rate on %u PRCs + %u CG "
               "(seed %llu, written to fig11_speedup_vs_fault_rate.csv)\n%s",
               kPrcs, kCgFabrics,
-              static_cast<unsigned long long>(fault_flags().seed),
+              static_cast<unsigned long long>(options().fault.seed),
               table.render().c_str());
   std::printf(
       "fault-free speedup %.2fx; rate-1.0 endpoint %.2fx (expected: "
@@ -161,12 +130,10 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
-  fault_flags() = parse_fault_flags(&argc, argv);
-  ::benchmark::Initialize(&argc, argv);
-  run_sweep(jobs);
-  register_benchmarks();
-  ::benchmark::RunSpecifiedBenchmarks();
+  options() = parse_bench_args(argc, argv,
+                               "Fig. 11: mRTS speedup vs fault rate",
+                               {"--fault-seed", "--max-retries"});
+  run_sweep(options().jobs);
   print_figure();
   return 0;
 }

@@ -9,8 +9,6 @@
 // builds a private MRts instance and results merge in submission order, so
 // the output is byte-identical to `--jobs 1`.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 #include <vector>
@@ -65,27 +63,6 @@ void run_sweep(unsigned jobs) {
   });
 }
 
-/// Reporting stub over the precomputed sweep results.
-void BM_Fig10_Combination(benchmark::State& state) {
-  const auto prcs = static_cast<unsigned>(state.range(0));
-  const auto cg = static_cast<unsigned>(state.range(1));
-  const Point& point = points()[FabricCombination{prcs, cg}.label()];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(point.speedup);
-  }
-  state.counters["speedup_vs_risc"] = point.speedup;
-}
-
-void register_benchmarks() {
-  for (const FabricCombination& combo : sweep_points()) {
-    benchmark::RegisterBenchmark(("BM_Fig10/" + combo.label()).c_str(),
-                                 BM_Fig10_Combination)
-        ->Args({static_cast<long>(combo.prcs), static_cast<long>(combo.cg)})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
 void print_figure() {
   TextTable table({"PRCs/CG", "group", "speedup vs RISC", "monoCG exec frac",
                    "MG-ISEs selected"});
@@ -127,11 +104,8 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
-  ::benchmark::Initialize(&argc, argv);
-  run_sweep(jobs);
-  register_benchmarks();
-  ::benchmark::RunSpecifiedBenchmarks();
+  run_sweep(
+      parse_bench_args(argc, argv, "Fig. 10: mRTS speedup vs RISC mode").jobs);
   print_figure();
   return 0;
 }

@@ -14,8 +14,6 @@
 // (--jobs N); per-point recorders are never shared and results merge in
 // submission order, so the table/CSV are byte-identical at any --jobs.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 #include <vector>
@@ -89,31 +87,6 @@ void run_sweep(unsigned jobs) {
   });
 }
 
-/// Reporting stub: the heavy work happened in run_sweep(); this publishes
-/// the point's analysis metrics under the BM_Fig13/<label> names.
-void BM_Fig13_Combination(benchmark::State& state) {
-  const auto prcs = static_cast<unsigned>(state.range(0));
-  const auto cg = static_cast<unsigned>(state.range(1));
-  const Row& row = rows()[FabricCombination{prcs, cg}.label()];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(row.mrts);
-  }
-  state.counters["mrts_Mcycles"] = static_cast<double>(row.mrts) / 1e6;
-  state.counters["fg_utilization"] = row.fg_utilization;
-  state.counters["cg_utilization"] = row.cg_utilization;
-  state.counters["hidden_fraction"] = row.hidden_fraction;
-}
-
-void register_benchmarks() {
-  for (const FabricCombination& combo : sweep_points()) {
-    benchmark::RegisterBenchmark(("BM_Fig13/" + combo.label()).c_str(),
-                                 BM_Fig13_Combination)
-        ->Args({static_cast<long>(combo.prcs), static_cast<long>(combo.cg)})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
 void print_figure() {
   TextTable table({"PRCs/CG", "mRTS [Mcyc]", "Execute %", "Stall %",
                    "FG util", "CG util", "Frag", "Hidden"});
@@ -159,11 +132,10 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
-  ::benchmark::Initialize(&argc, argv);
-  run_sweep(jobs);
-  register_benchmarks();
-  ::benchmark::RunSpecifiedBenchmarks();
+  run_sweep(parse_bench_args(argc, argv,
+                             "Fig. 13: fabric utilization and core stall "
+                             "breakdown")
+                .jobs);
   print_figure();
   return 0;
 }

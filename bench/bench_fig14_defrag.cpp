@@ -30,8 +30,6 @@
 // merge in submission order, so the table and CSV are byte-identical to
 // `--jobs 1`.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -243,30 +241,6 @@ void run_sweep(unsigned jobs) {
   });
 }
 
-/// Reporting stub publishing each mode's headline numbers.
-void BM_Fig14_Defrag(benchmark::State& state) {
-  const ModeResult& r = results()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(r.rows.size());
-  }
-  double frag_sum = 0.0;
-  for (const WindowRow& row : r.rows) frag_sum += row.frag_after;
-  state.counters["mean_fragmentation"] =
-      frag_sum / static_cast<double>(r.rows.size());
-  state.counters["migrations"] = static_cast<double>(r.total_migrations);
-  state.counters["final_throughput_per_Mcyc"] = r.rows.back().throughput;
-}
-
-void register_benchmarks() {
-  for (std::size_t i = 0; i < modes().size(); ++i) {
-    benchmark::RegisterBenchmark(("BM_Fig14_Defrag/" + modes()[i]).c_str(),
-                                 BM_Fig14_Defrag)
-        ->Args({static_cast<long>(i)})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
 void print_figure() {
   TextTable table({"mode", "window", "usable", "kernels", "frag before",
                    "frag after", "frag floor", "migrations",
@@ -342,11 +316,10 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
-  ::benchmark::Initialize(&argc, argv);
-  run_sweep(jobs);
-  register_benchmarks();
-  ::benchmark::RunSpecifiedBenchmarks();
+  run_sweep(parse_bench_args(argc, argv,
+                             "Fig. 14: migration-based defragmentation "
+                             "recovery")
+                .jobs);
   print_figure();
   return 0;
 }

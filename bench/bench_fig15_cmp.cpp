@@ -22,8 +22,6 @@
 // order, so the table and fig15_cmp_scaling.csv are byte-identical to
 // `--jobs 1` at any worker count.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -194,34 +192,6 @@ void run_sweep(unsigned jobs) {
   });
 }
 
-/// Reporting stub: the heavy work happened in run_sweep(); this publishes
-/// each point's speedup/fairness under BM_CmpScaling/<topology>/<n>.
-void BM_CmpScaling_Point(benchmark::State& state) {
-  const std::size_t index = static_cast<std::size_t>(state.range(0));
-  const PointResult& point = point_results()[index];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(point.total_cycles);
-  }
-  state.counters["total_Mcycles"] =
-      static_cast<double>(point.total_cycles) / 1e6;
-  state.counters["speedup"] = speedup_for(index);
-  state.counters["jain_fairness"] = point.jain_fairness;
-}
-
-void register_benchmarks() {
-  for (std::size_t i = 0; i < point_keys().size(); ++i) {
-    const PointKey& key = point_keys()[i];
-    benchmark::RegisterBenchmark(
-        ("BM_CmpScaling/" + key.topology + "/cores_" +
-         std::to_string(key.cores))
-            .c_str(),
-        BM_CmpScaling_Point)
-        ->Args({static_cast<long>(i)})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
 void print_figure() {
   TextTable table({"topology", "cores", "total [Mcyc]", "blocks/Mcyc",
                    "speedup", "Jain fairness", "xfer cyc", "port wait"});
@@ -252,11 +222,7 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
-  ::benchmark::Initialize(&argc, argv);
-  run_sweep(jobs);
-  register_benchmarks();
-  ::benchmark::RunSpecifiedBenchmarks();
+  run_sweep(parse_bench_args(argc, argv, "Fig. 15: CMP scale-out").jobs);
   print_figure();
   return 0;
 }

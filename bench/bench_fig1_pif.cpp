@@ -4,8 +4,6 @@
 // regions — ISE-2 (CG) for few executions, ISE-3 (MG) in the middle, ISE-1
 // (FG) once its 2 x 1.2 ms reconfiguration amortizes.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.h"
@@ -14,22 +12,6 @@
 namespace {
 
 using namespace mrts;
-
-void BM_Fig1_PifSeries(benchmark::State& state) {
-  const DeblockingCaseStudy cs = build_deblocking_case_study();
-  double checksum = 0.0;
-  for (auto _ : state) {
-    for (double n = 0.0; n <= 10'000.0; n += 250.0) {
-      checksum += case_study_pif(cs, cs.ise1, n) +
-                  case_study_pif(cs, cs.ise2, n) +
-                  case_study_pif(cs, cs.ise3, n);
-    }
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.counters["mg_over_cg_crossover"] = pif_crossover(cs, cs.ise3, cs.ise2);
-  state.counters["fg_over_mg_crossover"] = pif_crossover(cs, cs.ise1, cs.ise3);
-}
-BENCHMARK(BM_Fig1_PifSeries);
 
 void print_figure() {
   const DeblockingCaseStudy cs = build_deblocking_case_study();
@@ -62,9 +44,8 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)mrts::bench::parse_jobs(&argc, argv);  // strips --no-bb-cache too
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+  (void)mrts::bench::parse_bench_args(
+      argc, argv, "Fig. 1: pif of the three Deblocking Filter ISEs");
   print_figure();
   return 0;
 }

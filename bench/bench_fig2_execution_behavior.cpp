@@ -3,8 +3,6 @@
 // performance-wise best ISE) changes from frame to frame with the content,
 // which is what motivates run-time (rather than compile-time) selection.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 
@@ -19,13 +17,7 @@
 namespace {
 
 using namespace mrts;
-using mrts::bench::parse_trace_dir;
 using mrts::bench::write_point_trace;
-
-std::string& trace_dir() {
-  static std::string dir;
-  return dir;
-}
 
 H264AppParams fig2_params() {
   H264AppParams params;
@@ -34,15 +26,7 @@ H264AppParams fig2_params() {
   return params;
 }
 
-void BM_Fig2_TraceGeneration(benchmark::State& state) {
-  for (auto _ : state) {
-    const H264Application app = build_h264_application(fig2_params());
-    benchmark::DoNotOptimize(app.trace.blocks.size());
-  }
-}
-BENCHMARK(BM_Fig2_TraceGeneration)->Unit(benchmark::kMillisecond);
-
-void print_figure() {
+void print_figure(const std::string& trace_dir) {
   const H264Application app = build_h264_application(fig2_params());
   const DeblockingCaseStudy cs = build_deblocking_case_study();
 
@@ -52,7 +36,7 @@ void print_figure() {
   MRts rts(app.library, 2, 2);
   TraceRecorder recorder;
   CounterRegistry counters;
-  const bool traced = !trace_dir().empty();
+  const bool traced = !trace_dir.empty();
   RuntimeSystem& base = rts;  // observability attaches via the base API
   if (traced) base.attach_observability(&recorder, &counters);
   std::vector<std::string> selected_per_frame;
@@ -109,7 +93,7 @@ void print_figure() {
               lo, hi, static_cast<double>(hi) / static_cast<double>(lo));
   if (traced) {
     const std::string path = write_point_trace(
-        trace_dir(), "fig2_mrts.json", recorder.events(), &app.library);
+        trace_dir, "fig2_mrts.json", recorder.events(), &app.library);
     if (!path.empty()) {
       std::printf("[trace] wrote %zu events to %s\n", recorder.size(),
                   path.c_str());
@@ -120,10 +104,9 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)mrts::bench::parse_jobs(&argc, argv);  // strips --no-bb-cache too
-  trace_dir() = parse_trace_dir(&argc, argv);
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  print_figure();
+  const mrts::bench::BenchOptions opts = mrts::bench::parse_bench_args(
+      argc, argv, "Fig. 2: Deblocking Filter execution behaviour per frame",
+      {"--trace-dir"});
+  print_figure(opts.trace_dir);
   return 0;
 }

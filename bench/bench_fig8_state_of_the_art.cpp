@@ -9,10 +9,7 @@
 // The 20-point sweep fans out over a SweepRunner (--jobs N, default: one
 // worker per hardware thread); every point builds its own simulator stack
 // from the shared read-only EvalContext, and results merge in submission
-// order, so the table/CSV below are byte-identical to `--jobs 1`. The
-// registered per-combination benchmarks report the precomputed rows.
-
-#include <benchmark/benchmark.h>
+// order, so the table/CSV below are byte-identical to `--jobs 1`.
 
 #include <cstdio>
 #include <map>
@@ -30,21 +27,15 @@ const EvalContext& context() {
   return ctx;
 }
 
-/// --trace-dir destination; empty = tracing off. Set once in main() before
-/// the sweep fans out, read-only afterwards.
-std::string& trace_dir() {
-  static std::string dir;
-  return dir;
-}
-
-/// Fault-injection flags (--fault-rate/--fault-seed/--max-retries); the
-/// default is fault-free, which keeps the committed CSV byte-identical.
-/// Faults apply to the mRTS runs only — the baselines stay clean so the
-/// figure isolates how mRTS itself degrades. Set once in main() before the
-/// sweep fans out, read-only afterwards.
-FaultFlags& fault_flags() {
-  static FaultFlags flags;
-  return flags;
+/// The command line: --trace-dir (empty = tracing off) and the fault flags
+/// (--fault-rate/--fault-seed/--max-retries; the default is fault-free,
+/// which keeps the committed CSV byte-identical). Faults apply to the mRTS
+/// runs only — the baselines stay clean so the figure isolates how mRTS
+/// itself degrades. Set once in main() before the sweep fans out, read-only
+/// afterwards.
+BenchOptions& options() {
+  static BenchOptions opts;
+  return opts;
 }
 
 struct Row {
@@ -85,8 +76,8 @@ PointResult run_point(const FabricCombination& combo) {
       ctx.run_offline_optimal(combo.cg, combo.prcs).total_cycles;
   result.row.morpheus = ctx.run_morpheus(combo.cg, combo.prcs).total_cycles;
   MRtsConfig mrts_config;
-  mrts_config.fault = fault_flags().config();
-  if (trace_dir().empty()) {
+  mrts_config.fault = options().fault.config();
+  if (options().trace_dir.empty()) {
     result.row.mrts =
         ctx.run_mrts(combo.cg, combo.prcs, mrts_config).total_cycles;
   } else {
@@ -94,7 +85,7 @@ PointResult run_point(const FabricCombination& combo) {
     result.row.mrts = ctx.run_mrts(combo.cg, combo.prcs, mrts_config,
                                    &recorder, &result.counters)
                           .total_cycles;
-    write_point_trace(trace_dir(), "fig8_" + combo.label() + ".json",
+    write_point_trace(options().trace_dir, "fig8_" + combo.label() + ".json",
                       recorder.events(), &context().app.library);
   }
   return result;
@@ -110,37 +101,12 @@ void run_sweep(unsigned jobs) {
       rows()[points[i].label()] = results[i].row;
       merged.merge(results[i].counters);  // submission order = deterministic
     }
-    if (!trace_dir().empty()) {
+    if (!options().trace_dir.empty()) {
       print_counter_summary("Fig. 8", merged);
       std::printf("[trace] wrote %zu per-point traces to %s\n",
-                  points.size(), trace_dir().c_str());
+                  points.size(), options().trace_dir.c_str());
     }
   });
-}
-
-/// Reporting stub: the heavy work happened in run_sweep(); this publishes
-/// the point's counters under the familiar BM_Fig8/<label> names.
-void BM_Fig8_Combination(benchmark::State& state) {
-  const auto prcs = static_cast<unsigned>(state.range(0));
-  const auto cg = static_cast<unsigned>(state.range(1));
-  const Row& row = rows()[FabricCombination{prcs, cg}.label()];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(row.mrts);
-  }
-  state.counters["mrts_Mcycles"] = static_cast<double>(row.mrts) / 1e6;
-  state.counters["speedup_vs_rispp"] = speedup(row.rispp, row.mrts);
-  state.counters["speedup_vs_offline"] = speedup(row.offline, row.mrts);
-  state.counters["speedup_vs_morpheus"] = speedup(row.morpheus, row.mrts);
-}
-
-void register_benchmarks() {
-  for (const FabricCombination& combo : sweep_points()) {
-    benchmark::RegisterBenchmark(("BM_Fig8/" + combo.label()).c_str(),
-                                 BM_Fig8_Combination)
-        ->Args({static_cast<long>(combo.prcs), static_cast<long>(combo.cg)})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
 }
 
 void print_figure() {
@@ -189,13 +155,10 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
-  trace_dir() = parse_trace_dir(&argc, argv);
-  fault_flags() = parse_fault_flags(&argc, argv);
-  ::benchmark::Initialize(&argc, argv);
-  run_sweep(jobs);
-  register_benchmarks();
-  ::benchmark::RunSpecifiedBenchmarks();
+  options() = parse_bench_args(
+      argc, argv, "Fig. 8: comparison with state-of-the-art approaches",
+      {"--fault-rate", "--fault-seed", "--max-retries", "--trace-dir"});
+  run_sweep(options().jobs);
   print_figure();
   return 0;
 }

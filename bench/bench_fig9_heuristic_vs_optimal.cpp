@@ -10,8 +10,6 @@
 // private simulator instances and results merge in submission order, so the
 // output is byte-identical to `--jobs 1`.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 #include <vector>
@@ -85,27 +83,6 @@ void run_sweep(unsigned jobs) {
   });
 }
 
-/// Reporting stub over the precomputed sweep results.
-void BM_Fig9_Combination(benchmark::State& state) {
-  const auto prcs = static_cast<unsigned>(state.range(0));
-  const auto cg = static_cast<unsigned>(state.range(1));
-  const Diffs& d = diffs()[FabricCombination{prcs, cg}.label()];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(d.heuristic);
-  }
-  state.counters["percent_difference"] = d.heuristic;
-}
-
-void register_benchmarks() {
-  for (const FabricCombination& combo : sweep_points()) {
-    benchmark::RegisterBenchmark(("BM_Fig9/" + combo.label()).c_str(),
-                                 BM_Fig9_Combination)
-        ->Args({static_cast<long>(combo.prcs), static_cast<long>(combo.cg)})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
 void print_figure() {
   TextTable table({"PRCs", "CG=0", "CG=1", "CG=2", "CG=3"});
   CsvWriter csv("fig9_heuristic_vs_optimal.csv");
@@ -160,11 +137,10 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
-  ::benchmark::Initialize(&argc, argv);
-  run_sweep(jobs);
-  register_benchmarks();
-  ::benchmark::RunSpecifiedBenchmarks();
+  run_sweep(parse_bench_args(argc, argv,
+                             "Fig. 9: heuristic ISE selection vs run-time "
+                             "optimal")
+                .jobs);
   print_figure();
   return 0;
 }

@@ -23,8 +23,6 @@
 // order, so the table and fig12_multitenant_fairness.csv are byte-identical
 // to `--jobs 1` at any worker count.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -211,34 +209,6 @@ void run_sweep(unsigned jobs) {
   });
 }
 
-/// Reporting stub: the heavy work happened in run_sweep(); this publishes
-/// each point's throughput/fairness under BM_MultiTenant/<scenario>/<n>.
-void BM_MultiTenant_Point(benchmark::State& state) {
-  const PointResult& point = point_results()[static_cast<std::size_t>(
-      state.range(0))];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(point.total_cycles);
-  }
-  state.counters["total_Mcycles"] =
-      static_cast<double>(point.total_cycles) / 1e6;
-  state.counters["blocks_per_Mcyc"] = point.aggregate_throughput;
-  state.counters["jain_fairness"] = point.jain_fairness;
-}
-
-void register_benchmarks() {
-  for (std::size_t i = 0; i < point_keys().size(); ++i) {
-    const PointKey& key = point_keys()[i];
-    benchmark::RegisterBenchmark(
-        ("BM_MultiTenant/" + key.scenario + "/tenants_" +
-         std::to_string(key.tenants))
-            .c_str(),
-        BM_MultiTenant_Point)
-        ->Args({static_cast<long>(i)})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
 void print_figure() {
   TextTable table({"scenario", "tenants", "total [Mcyc]", "blocks/Mcyc",
                    "Jain fairness", "evictions", "quota redirects",
@@ -267,11 +237,8 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
-  ::benchmark::Initialize(&argc, argv);
-  run_sweep(jobs);
-  register_benchmarks();
-  ::benchmark::RunSpecifiedBenchmarks();
+  run_sweep(
+      parse_bench_args(argc, argv, "Fig. 12: multi-tenant fairness").jobs);
   print_figure();
   return 0;
 }

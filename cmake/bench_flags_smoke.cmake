@@ -1,26 +1,33 @@
-# Bench flag contract, run as a ctest via `cmake -P`: a malformed or
-# value-less worker count (`--jobs` flag or MRTS_BENCH_JOBS), fault flag
-# (`--fault-rate`, `--fault-seed`, `--max-retries`) or `--trace-dir` is an
-# input error — exit 2 with a message naming the flag, before
-# google-benchmark sees the command line (it would ignore a trailing flag)
-# and before any sweep worker starts — and a valid `--jobs 1` runs to
-# completion.
+# Bench flag contract, run as a ctest via `cmake -P`. Each figure harness
+# parses one flag table (bench_common.h parse_bench_args):
+#  * an argument outside the harness's table, a malformed or value-less
+#    flag value (`--jobs`, `--fault-rate`, `--fault-seed`, `--max-retries`,
+#    `--trace-dir`) and a malformed MRTS_BENCH_JOBS or MRTS_BENCH_FRAMES
+#    are input errors: exit 2 with a message naming the argument, before
+#    any sweep worker starts;
+#  * `--help` prints the table and exits 0;
+#  * a valid `--jobs 1` runs to completion.
 #
-# Inputs: -DBENCH=<path to bench_fig1_pif>
+# Inputs: -DBENCH=<path to bench_fig1_pif, which takes only the common
+#                  flags>
 #         -DFLAG_BENCH=<path to bench_fig8_state_of_the_art, which takes
-#                       every flag> -DWORK_DIR=<scratch dir>
+#                       every flag>
+#         -DSWEEP_BENCH=<path to bench_fig9_heuristic_vs_optimal, a sweep
+#                        without fault flags>
+#         -DWORK_DIR=<scratch dir>
 
-if(NOT DEFINED BENCH OR NOT DEFINED FLAG_BENCH OR NOT DEFINED WORK_DIR)
-  message(FATAL_ERROR "usage: cmake -DBENCH=... -DFLAG_BENCH=... -DWORK_DIR=... -P bench_flags_smoke.cmake")
+if(NOT DEFINED BENCH OR NOT DEFINED FLAG_BENCH OR NOT DEFINED SWEEP_BENCH
+   OR NOT DEFINED WORK_DIR)
+  message(FATAL_ERROR "usage: cmake -DBENCH=... -DFLAG_BENCH=... -DSWEEP_BENCH=... -DWORK_DIR=... -P bench_flags_smoke.cmake")
 endif()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(ENV{MRTS_BENCH_FRAMES} 2)
 unset(ENV{MRTS_BENCH_JOBS})
 
 set(bench "${BENCH}")
-# Runs ${bench} with ARGN; expects exit code expected_rc and, when
-# flag_name is non-empty, stderr naming that flag.
-function(run_bench expected_rc flag_name)
+# Runs ${bench} with ARGN; expects exit code expected_rc and, when pattern
+# is non-empty, stdout+stderr matching that regex.
+function(run_bench expected_rc pattern)
   execute_process(
     COMMAND "${bench}" ${ARGN}
     WORKING_DIRECTORY "${WORK_DIR}"
@@ -28,34 +35,70 @@ function(run_bench expected_rc flag_name)
   if(NOT rc EQUAL expected_rc)
     message(FATAL_ERROR "'${ARGN}' exited ${rc}, expected ${expected_rc}:\n${out}${err}")
   endif()
-  if(flag_name AND NOT err MATCHES "error: invalid ${flag_name} ")
-    message(FATAL_ERROR "'${ARGN}' did not name ${flag_name}:\n${err}")
+  if(pattern AND NOT "${out}${err}" MATCHES "${pattern}")
+    message(FATAL_ERROR "'${ARGN}' output does not match '${pattern}':\n${out}${err}")
   endif()
 endfunction()
 
-run_bench(2 --jobs --jobs 2x)    # trailing garbage
-run_bench(2 --jobs --jobs abc)   # not a number
-run_bench(2 --jobs --jobs=-1)    # negative
-run_bench(2 --jobs --jobs)       # missing value
-run_bench(2 --jobs --jobs 4294967296)  # does not fit unsigned
+run_bench(2 "error: invalid --jobs " --jobs 2x)    # trailing garbage
+run_bench(2 "error: invalid --jobs " --jobs abc)   # not a number
+run_bench(2 "error: invalid --jobs " --jobs=-1)    # negative
+run_bench(2 "error: invalid --jobs " --jobs)       # missing value
+run_bench(2 "error: invalid --jobs " --jobs 4294967296)  # does not fit unsigned
 
 set(ENV{MRTS_BENCH_JOBS} abc)
-run_bench(2 MRTS_BENCH_JOBS)
+run_bench(2 "error: invalid MRTS_BENCH_JOBS ")
 unset(ENV{MRTS_BENCH_JOBS})
 
-run_bench(0 "" --jobs 1 --benchmark_min_time=0.01s)
+# MRTS_BENCH_FRAMES is held to the same contract: no partial parse, no
+# silent fall-back to the full 16 frames.
+foreach(frames 2x abc 0 -3 4294967296)
+  set(ENV{MRTS_BENCH_FRAMES} ${frames})
+  run_bench(2 "error: invalid MRTS_BENCH_FRAMES '${frames}'")
+endforeach()
+set(ENV{MRTS_BENCH_FRAMES} 2)
 
-# The sibling parsers: each flag trailing without a value, then malformed.
+run_bench(0 "" --jobs 1)
+
+# Arguments outside fig1's table: a flag it does not act on, a bare unknown
+# flag, a value on a boolean flag and a positional.
+file(MAKE_DIRECTORY "${WORK_DIR}/traces")
+run_bench(2 "error: unknown argument '--trace-dir'"
+          --trace-dir "${WORK_DIR}/traces")
+file(GLOB traces "${WORK_DIR}/traces/*")
+if(traces)
+  message(FATAL_ERROR "a rejected --trace-dir still wrote: ${traces}")
+endif()
+run_bench(2 "error: unknown argument '--bogus'" --bogus)
+run_bench(2 "error: unknown argument '--no-bb-cache=1'" --no-bb-cache=1)
+run_bench(2 "error: unknown argument 'xyz'" xyz)
+
+# --help lists exactly the harness's table.
+run_bench(0 "--jobs <n>.*--no-bb-cache" --help)
+execute_process(COMMAND "${bench}" --help OUTPUT_VARIABLE help)
+if(help MATCHES "--fault|--trace-dir")
+  message(FATAL_ERROR "fig1 --help lists a flag it does not act on:\n${help}")
+endif()
+
+# A sweep without fault flags rejects them instead of running fault-free.
+set(bench "${SWEEP_BENCH}")
+run_bench(2 "error: unknown argument '--fault-rate'"
+          --fault-rate 0.5 --bogus xyz)
+
+# The harness that takes every flag: each trailing without a value, then
+# malformed.
 set(bench "${FLAG_BENCH}")
 foreach(flag --fault-rate --fault-seed --max-retries --trace-dir)
-  run_bench(2 ${flag} ${flag})
+  run_bench(2 "error: invalid ${flag} " ${flag})
 endforeach()
-run_bench(2 --fault-rate --fault-rate 1.5)
-run_bench(2 --fault-rate --fault-rate=abc)
-run_bench(2 --fault-seed --fault-seed -1)
-run_bench(2 --fault-seed --fault-seed=18446744073709551616)
-run_bench(2 --max-retries --max-retries 1001)
-run_bench(2 --max-retries --max-retries=2x)
-run_bench(2 --trace-dir --trace-dir=)
+run_bench(2 "error: invalid --fault-rate " --fault-rate 1.5)
+run_bench(2 "error: invalid --fault-rate " --fault-rate=abc)
+run_bench(2 "error: invalid --fault-seed " --fault-seed -1)
+run_bench(2 "error: invalid --fault-seed " --fault-seed=18446744073709551616)
+run_bench(2 "error: invalid --max-retries " --max-retries 1001)
+run_bench(2 "error: invalid --max-retries " --max-retries=2x)
+run_bench(2 "error: invalid --trace-dir " --trace-dir=)
+run_bench(0 "--fault-rate <p>.*--fault-seed <n>.*--max-retries <n>.*--trace-dir <dir>"
+          --help)
 
-message(STATUS "bench flags smoke OK: malformed or value-less bench flags exit 2")
+message(STATUS "bench flags smoke OK: arguments outside a harness's flag table and malformed values exit 2")

@@ -1,8 +1,8 @@
 #pragma once
 /// \file client.h
 /// Client: a small blocking mrts.wire.v1 client over AF_UNIX, used by
-/// `mrts_loadgen` and `bench_serve_latency` (and a worked example of
-/// writing a client from docs/PROTOCOL.md alone). One request frame out,
+/// `mrts_loadgen` and perfbench's `serve_open_loop` (and a worked example
+/// of writing a client from docs/PROTOCOL.md alone). One request frame out,
 /// one response frame back; an ERROR response surfaces through
 /// last_error() and a false return.
 

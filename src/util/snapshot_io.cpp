@@ -41,9 +41,10 @@ void SnapshotWriter::grow(std::size_t more) {
   bytes_.resize(std::max({2 * bytes_.size(), used_ + more, std::size_t{64}}));
 }
 
-std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size) {
+std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size,
+                             std::uint32_t crc) {
   static const CrcTables t = make_crc_tables();
-  std::uint32_t crc = 0xFFFFFFFFu;
+  crc ^= 0xFFFFFFFFu;
   for (; size >= 8; data += 8, size -= 8) {
     const std::uint32_t lo = crc ^ (static_cast<std::uint32_t>(data[0]) |
                                     static_cast<std::uint32_t>(data[1]) << 8 |

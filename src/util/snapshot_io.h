@@ -184,7 +184,10 @@ class SnapshotReader {
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over \p bytes,
-/// computed slicing-by-8 (eight bytes per table round).
-std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size);
+/// computed slicing-by-8 (eight bytes per table round). \p crc continues a
+/// previous result: the CRC of `a` then `b` is
+/// `snapshot_crc32(b, nb, snapshot_crc32(a, na))`.
+std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size,
+                             std::uint32_t crc = 0);
 
 }  // namespace mrts

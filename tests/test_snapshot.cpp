@@ -368,6 +368,14 @@ TEST(SnapshotCrc, MatchesTheBytewiseCrcAtEveryLengthAndAlignment) {
           << "offset " << offset << " size " << size;
     }
   }
+  // A CRC continued across any split point equals the one-shot CRC.
+  const std::uint32_t whole = snapshot_crc32(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    ASSERT_EQ(snapshot_crc32(bytes.data() + split, bytes.size() - split,
+                             snapshot_crc32(bytes.data(), split)),
+              whole)
+        << "split " << split;
+  }
 }
 
 }  // namespace
