@@ -6,14 +6,12 @@
 /// the full simulation, prints the figure's rows/series as an ASCII table
 /// and dumps a CSV (<bench>.csv) for external plotting.
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <initializer_list>
-#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -38,61 +36,25 @@
 
 namespace mrts::bench {
 
-namespace detail {
-
-/// Strict full-token parsers, mirroring the mrts_cli contract: malformed
-/// values (negative/NaN rates, signed or overflowing seeds and job counts)
-/// are input errors — exit code 2, never silently clamped.
-inline bool parse_probability_token(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;  // NaN fails every comparison
-  *out = v;
-  return true;
-}
-
-inline bool parse_u64_token(const char* s, std::uint64_t* out) {
-  if (s[0] == '\0' || s[0] == '-' || s[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-[[noreturn]] inline void flag_error(const char* flag, const char* value,
-                                    const char* expected) {
-  std::fprintf(stderr, "error: invalid %s '%s' (expected %s)\n", flag, value,
-               expected);
+/// Exits 2 with \p error's message: the harnesses map every command-line
+/// error to an input error.
+[[noreturn]] inline void reject(const CliError& error) {
+  std::fprintf(stderr, "error: %s\n", error.message.c_str());
   std::exit(2);
 }
-
-/// Parses an unsigned count in [min, max]; anything else exits 2 naming
-/// \p flag.
-inline unsigned parse_count(const char* flag, const char* value,
-                            unsigned min, unsigned max,
-                            const char* expected) {
-  std::uint64_t v = 0;
-  if (!parse_u64_token(value, &v) || v < min || v > max) {
-    flag_error(flag, value, expected);
-  }
-  return static_cast<unsigned>(v);
-}
-
-constexpr unsigned kMaxCount = std::numeric_limits<unsigned>::max();
-
-}  // namespace detail
 
 /// The H.264 frame count of the evaluation workload: 16, or
 /// MRTS_BENCH_FRAMES (smaller = faster smoke run). A malformed, zero or
 /// out-of-range value exits 2.
 inline unsigned bench_frames() {
+  unsigned frames = 16;
   const char* env = std::getenv("MRTS_BENCH_FRAMES");
-  if (env == nullptr) return 16;
-  return detail::parse_count("MRTS_BENCH_FRAMES", env, 1, detail::kMaxCount,
-                             "a frame count >= 1");
+  CliArgs check;
+  if (env != nullptr &&
+      !check.read_token("MRTS_BENCH_FRAMES", env, 1, ~0u, &frames)) {
+    reject(check.error);
+  }
+  return frames;
 }
 
 /// Evaluation workload of Section 5: the H.264 encoder model at CIF size.
@@ -173,18 +135,26 @@ struct BenchOptions {
   std::string trace_dir;  ///< empty = tracing off
 };
 
-/// Parses a figure harness's command line against its flag table: `--jobs`
-/// and `--no-bb-cache` (every harness) plus \p extra_flags, the optional
-/// flags this harness acts on (`--fault-rate`, `--fault-seed`,
-/// `--max-retries`, `--trace-dir`). Value flags take `--flag V` or
-/// `--flag=V`. `--help` prints the table and exits 0; an argument outside
-/// the table, or a malformed, missing or out-of-range value, exits 2 naming
-/// it before any work starts. MRTS_BENCH_JOBS supplies the `--jobs` default
-/// and is held to the same contract, as is MRTS_BENCH_FRAMES.
+/// Parses a figure harness's command line against its flag table, which
+/// holds \p flags: the flags this harness acts on, out of `--jobs`,
+/// `--no-bb-cache`, `--fault-rate`, `--fault-seed`, `--max-retries` and
+/// `--trace-dir` (default: a plain sweep's `--jobs` and `--no-bb-cache`).
+/// CliSpec::parse walks the table (`--flag V` or `--flag=V`). `--help`
+/// prints the table and exits 0; any other command-line error, such as an
+/// argument outside the table or a malformed, missing or out-of-range
+/// value, exits 2 naming it before any work starts. MRTS_BENCH_JOBS
+/// supplies the `--jobs` default where the harness takes `--jobs` and is
+/// held to the same contract, as is MRTS_BENCH_FRAMES.
 inline BenchOptions parse_bench_args(
     int argc, char** argv, const char* summary,
-    std::initializer_list<std::string_view> extra_flags = {}) {
-  static const std::vector<CliFlag> optional = {
+    std::initializer_list<std::string_view> flags = {"--jobs",
+                                                     "--no-bb-cache"}) {
+  static const std::vector<CliFlag> known = {
+      {"--jobs", "<n>",
+       "sweep workers: 0 = one per hardware thread, 1 = serial (default "
+       "MRTS_BENCH_JOBS, else 0)"},
+      {"--no-bb-cache", "",
+       "run the plain interpreter and per-event oracle (same output)"},
       {"--fault-rate", "<p>",
        "uniform fault probability in [0,1] (default 0 = fault-free)"},
       {"--fault-seed", "<n>", "fault injector seed (default 42)"},
@@ -196,73 +166,33 @@ inline BenchOptions parse_bench_args(
   CliSpec spec(std::filesystem::path(binary).filename().string(), summary,
                "exit codes: 0 success, 2 input error");
   CliVerb& verb = spec.add_verb("", "", "");
-  verb.flags = {
-      {"--jobs", "<n>",
-       "sweep workers: 0 = one per hardware thread, 1 = serial (default "
-       "MRTS_BENCH_JOBS, else 0)"},
-      {"--no-bb-cache", "",
-       "run the plain interpreter and per-event oracle (same output)"},
-  };
-  for (const std::string_view name : extra_flags) {
-    for (const CliFlag& f : optional) {
+  for (const CliFlag& f : known) {
+    for (const std::string_view name : flags) {
       if (f.name == name) verb.flags.push_back(f);
     }
   }
 
-  const char* jobs_expected = "a worker count, 0 = one per hardware thread";
+  CliArgs args = CliSpec::parse(verb, argc, argv, 1);
+  if (args.help) {
+    std::fputs(spec.help().c_str(), stdout);
+    std::exit(0);
+  }
   BenchOptions opts;
-  if (const char* env = std::getenv("MRTS_BENCH_JOBS")) {
-    opts.jobs = detail::parse_count("MRTS_BENCH_JOBS", env, 0,
-                                    detail::kMaxCount, jobs_expected);
-  }
+  const char* env_jobs = std::getenv("MRTS_BENCH_JOBS");
+  const bool ok =
+      args.ok() &&
+      (env_jobs == nullptr || !CliSpec::flag(verb, "--jobs") ||
+       args.read_token("MRTS_BENCH_JOBS", env_jobs, 0, ~0u, &opts.jobs)) &&
+      args.read("--jobs", 0, ~0u, &opts.jobs) &&
+      args.read_probability("--fault-rate", &opts.fault.rate) &&
+      args.read("--fault-seed", 0, ~std::uint64_t{0}, &opts.fault.seed) &&
+      args.read("--max-retries", 0, 1000, &opts.fault.max_retries) &&
+      args.read_text("--trace-dir", &opts.trace_dir);
+  if (!ok) reject(args.error);
   (void)bench_frames();  // a bad MRTS_BENCH_FRAMES fails before any work
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help") {
-      std::fputs(spec.help().c_str(), stdout);
-      std::exit(0);
-    }
-    const std::size_t eq = arg.find('=');
-    const std::string_view name = arg.substr(0, eq);
-    const CliFlag* flag = CliSpec::flag(verb, name);
-    if (flag == nullptr || (flag->value.empty() && eq != arg.npos)) {
-      std::fprintf(stderr, "error: unknown argument '%s' (see --help)\n",
-                   argv[i]);
-      std::exit(2);
-    }
-    // A trailing value flag gets "" and fails its parser below.
-    const char* value = "";
-    if (eq != arg.npos) {
-      value = argv[i] + eq + 1;
-    } else if (!flag->value.empty() && i + 1 < argc) {
-      value = argv[++i];
-    }
-    if (name == "--jobs") {
-      opts.jobs = detail::parse_count("--jobs", value, 0, detail::kMaxCount,
-                                      jobs_expected);
-    } else if (name == "--no-bb-cache") {
-      // A/B switch for the simulator fast paths (decoded basic-block
-      // caches + batched frame execution). Output bytes are identical.
-      set_fastpath_enabled(false);
-    } else if (name == "--fault-rate") {
-      if (!detail::parse_probability_token(value, &opts.fault.rate)) {
-        detail::flag_error("--fault-rate", value, "a probability in [0,1]");
-      }
-    } else if (name == "--fault-seed") {
-      if (!detail::parse_u64_token(value, &opts.fault.seed)) {
-        detail::flag_error("--fault-seed", value,
-                           "an unsigned 64-bit integer");
-      }
-    } else if (name == "--max-retries") {
-      opts.fault.max_retries = detail::parse_count(
-          "--max-retries", value, 0, 1000, "an integer in [0,1000]");
-    } else if (name == "--trace-dir") {
-      if (*value == '\0') {
-        detail::flag_error("--trace-dir", value, "a directory path");
-      }
-      opts.trace_dir = value;
-    }
-  }
+  // A/B switch for the simulator fast paths (decoded basic-block caches +
+  // batched frame execution). Output bytes are identical.
+  if (args.has("--no-bb-cache")) set_fastpath_enabled(false);
   return opts;
 }
 

@@ -96,7 +96,8 @@ void print_table() {
 int main(int argc, char** argv) {
   (void)parse_bench_args(argc, argv,
                          "Energy model of every run-time system (beyond the "
-                         "paper)");
+                         "paper)",
+                         {"--no-bb-cache"});
   print_table();
   return 0;
 }

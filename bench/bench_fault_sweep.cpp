@@ -132,7 +132,8 @@ void print_figure() {
 int main(int argc, char** argv) {
   options() = parse_bench_args(argc, argv,
                                "Fig. 11: mRTS speedup vs fault rate",
-                               {"--fault-seed", "--max-retries"});
+                               {"--jobs", "--no-bb-cache", "--fault-seed",
+                                "--max-retries"});
   run_sweep(options().jobs);
   print_figure();
   return 0;

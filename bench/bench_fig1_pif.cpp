@@ -45,7 +45,7 @@ void print_figure() {
 
 int main(int argc, char** argv) {
   (void)mrts::bench::parse_bench_args(
-      argc, argv, "Fig. 1: pif of the three Deblocking Filter ISEs");
+      argc, argv, "Fig. 1: pif of the three Deblocking Filter ISEs", {});
   print_figure();
   return 0;
 }

@@ -106,7 +106,7 @@ void print_figure(const std::string& trace_dir) {
 int main(int argc, char** argv) {
   const mrts::bench::BenchOptions opts = mrts::bench::parse_bench_args(
       argc, argv, "Fig. 2: Deblocking Filter execution behaviour per frame",
-      {"--trace-dir"});
+      {"--no-bb-cache", "--trace-dir"});
   print_figure(opts.trace_dir);
   return 0;
 }

@@ -157,7 +157,8 @@ void print_figure() {
 int main(int argc, char** argv) {
   options() = parse_bench_args(
       argc, argv, "Fig. 8: comparison with state-of-the-art approaches",
-      {"--fault-rate", "--fault-seed", "--max-retries", "--trace-dir"});
+      {"--jobs", "--no-bb-cache", "--fault-rate", "--fault-seed",
+       "--max-retries", "--trace-dir"});
   run_sweep(options().jobs);
   print_figure();
   return 0;

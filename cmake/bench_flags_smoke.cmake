@@ -8,12 +8,11 @@
 #  * `--help` prints the table and exits 0;
 #  * a valid `--jobs 1` runs to completion.
 #
-# Inputs: -DBENCH=<path to bench_fig1_pif, which takes only the common
-#                  flags>
+# Inputs: -DBENCH=<path to bench_fig1_pif, which takes no flag>
 #         -DFLAG_BENCH=<path to bench_fig8_state_of_the_art, which takes
 #                       every flag>
 #         -DSWEEP_BENCH=<path to bench_fig9_heuristic_vs_optimal, a sweep
-#                        without fault flags>
+#                        with --jobs and --no-bb-cache only>
 #         -DWORK_DIR=<scratch dir>
 
 if(NOT DEFINED BENCH OR NOT DEFINED FLAG_BENCH OR NOT DEFINED SWEEP_BENCH
@@ -40,16 +39,6 @@ function(run_bench expected_rc pattern)
   endif()
 endfunction()
 
-run_bench(2 "error: invalid --jobs " --jobs 2x)    # trailing garbage
-run_bench(2 "error: invalid --jobs " --jobs abc)   # not a number
-run_bench(2 "error: invalid --jobs " --jobs=-1)    # negative
-run_bench(2 "error: invalid --jobs " --jobs)       # missing value
-run_bench(2 "error: invalid --jobs " --jobs 4294967296)  # does not fit unsigned
-
-set(ENV{MRTS_BENCH_JOBS} abc)
-run_bench(2 "error: invalid MRTS_BENCH_JOBS ")
-unset(ENV{MRTS_BENCH_JOBS})
-
 # MRTS_BENCH_FRAMES is held to the same contract: no partial parse, no
 # silent fall-back to the full 16 frames.
 foreach(frames 2x abc 0 -3 4294967296)
@@ -58,10 +47,16 @@ foreach(frames 2x abc 0 -3 4294967296)
 endforeach()
 set(ENV{MRTS_BENCH_FRAMES} 2)
 
-run_bench(0 "" --jobs 1)
+run_bench(0 "")
 
-# Arguments outside fig1's table: a flag it does not act on, a bare unknown
-# flag, a value on a boolean flag and a positional.
+# Arguments outside fig1's table: flags it does not act on (it computes
+# Eq. 1 analytically, with neither a sweep nor a simulator), a bare unknown
+# flag and a positional. MRTS_BENCH_JOBS is not read where --jobs is not
+# taken.
+run_bench(2 "error: unknown argument '--jobs'" --jobs 1)
+set(ENV{MRTS_BENCH_JOBS} abc)
+run_bench(0 "")
+unset(ENV{MRTS_BENCH_JOBS})
 file(MAKE_DIRECTORY "${WORK_DIR}/traces")
 run_bench(2 "error: unknown argument '--trace-dir'"
           --trace-dir "${WORK_DIR}/traces")
@@ -73,15 +68,38 @@ run_bench(2 "error: unknown argument '--bogus'" --bogus)
 run_bench(2 "error: unknown argument '--no-bb-cache=1'" --no-bb-cache=1)
 run_bench(2 "error: unknown argument 'xyz'" xyz)
 
-# --help lists exactly the harness's table.
-run_bench(0 "--jobs <n>.*--no-bb-cache" --help)
+# --help lists exactly the harness's table: fig1's is empty.
+run_bench(0 "usage:" --help)
 execute_process(COMMAND "${bench}" --help OUTPUT_VARIABLE help)
-if(help MATCHES "--fault|--trace-dir")
+if(help MATCHES "--jobs|--no-bb-cache|--fault|--trace-dir")
   message(FATAL_ERROR "fig1 --help lists a flag it does not act on:\n${help}")
 endif()
 
-# A sweep without fault flags rejects them instead of running fault-free.
+# A sweep: --jobs and MRTS_BENCH_JOBS, both held to the strict contract.
 set(bench "${SWEEP_BENCH}")
+run_bench(2 "error: invalid --jobs " --jobs 2x)    # trailing garbage
+run_bench(2 "error: invalid --jobs " --jobs abc)   # not a number
+run_bench(2 "error: invalid --jobs " --jobs=-1)    # negative
+run_bench(2 "error: invalid --jobs " --jobs)       # missing value
+run_bench(2 "error: invalid --jobs " --jobs 4294967296)  # does not fit unsigned
+
+set(ENV{MRTS_BENCH_JOBS} abc)
+run_bench(2 "error: invalid MRTS_BENCH_JOBS ")
+unset(ENV{MRTS_BENCH_JOBS})
+
+run_bench(0 "" --jobs 1)
+run_bench(0 "--jobs <n>.*--no-bb-cache" --help)
+execute_process(COMMAND "${bench}" --help OUTPUT_VARIABLE help)
+if(help MATCHES "--fault|--trace-dir")
+  message(FATAL_ERROR "fig9 --help lists a flag it does not act on:\n${help}")
+endif()
+
+# A repeated flag and a value on a boolean flag are errors, not "last one
+# wins".
+run_bench(2 "error: repeated flag '--jobs=2'" --jobs 1 --jobs=2)
+run_bench(2 "error: unknown argument '--no-bb-cache=1'" --no-bb-cache=1)
+
+# A sweep without fault flags rejects them instead of running fault-free.
 run_bench(2 "error: unknown argument '--fault-rate'"
           --fault-rate 0.5 --bogus xyz)
 

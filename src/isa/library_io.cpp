@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/parse_number.h"
+
 namespace mrts {
 namespace {
 
@@ -54,12 +56,13 @@ bool key_value(const std::string& tok, const std::string& key,
   return true;
 }
 
-std::uint64_t parse_u64(const std::string& text, unsigned line) {
-  try {
-    return std::stoull(text);
-  } catch (const std::exception&) {
-    fail(line, "bad number '" + text + "'");
-  }
+/// A numeric attribute value, parsed in full into the field's type: a sign,
+/// trailing characters or a value the field cannot hold fail the line.
+template <typename T>
+T parse_value(const std::string& text, unsigned line) {
+  T value{};
+  if (!parse_number(text, &value)) fail(line, "bad number '" + text + "'");
+  return value;
 }
 
 }  // namespace
@@ -128,12 +131,11 @@ IseLibrary parse_library(const std::string& text) {
       for (std::size_t i = 3; i < toks.size(); ++i) {
         std::string value;
         if (key_value(toks[i], "units", &value)) {
-          dp.units = static_cast<unsigned>(parse_u64(value, line_no));
+          dp.units = parse_value<unsigned>(value, line_no);
         } else if (key_value(toks[i], "bitstream", &value)) {
-          dp.bitstream_bytes = parse_u64(value, line_no);
+          dp.bitstream_bytes = parse_value<std::uint64_t>(value, line_no);
         } else if (key_value(toks[i], "ctx", &value)) {
-          dp.context_instructions =
-              static_cast<unsigned>(parse_u64(value, line_no));
+          dp.context_instructions = parse_value<unsigned>(value, line_no);
         } else {
           fail(line_no, "unknown datapath attribute '" + toks[i] + "'");
         }
@@ -149,8 +151,9 @@ IseLibrary parse_library(const std::string& text) {
       if (!key_value(toks[2], "sw", &value)) {
         fail(line_no, "kernel needs sw=<cycles>");
       }
+      const Cycles sw_latency = parse_value<Cycles>(value, line_no);
       try {
-        lib.add_kernel(toks[1], parse_u64(value, line_no));
+        lib.add_kernel(toks[1], sw_latency);
       } catch (const std::invalid_argument& e) {
         fail(line_no, e.what());
       }
@@ -177,7 +180,7 @@ IseLibrary parse_library(const std::string& text) {
           }
         } else if (key_value(toks[i], "lat", &value)) {
           for (const std::string& lat : split(value, ',')) {
-            ise.latency_after.push_back(parse_u64(lat, line_no));
+            ise.latency_after.push_back(parse_value<Cycles>(lat, line_no));
           }
         } else {
           fail(line_no, "unknown ise attribute '" + toks[i] + "'");

@@ -5,12 +5,14 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "isa/ise_builder.h"
 #include "obs/report_io.h"
 #include "obs/run_report.h"
 #include "rts/mrts.h"
 #include "sim/multi_app.h"
+#include "util/parse_number.h"
 #include "util/rng.h"
 #include "workload/workload_gen.h"
 
@@ -27,6 +29,15 @@ bool valid_name_char(char c) {
          c == '.' || c == '-';
 }
 
+template <auto Member>
+ServeConfigField field(const char* key, const char* flag, std::uint64_t lo,
+                       std::uint64_t hi) {
+  using T = std::remove_reference_t<decltype(ServeConfig{}.*Member)>;
+  return {key, flag, lo, hi,
+          [](const ServeConfig& c) { return std::uint64_t{c.*Member}; },
+          [](ServeConfig& c, std::uint64_t v) { c.*Member = T(v); }};
+}
+
 TenantShare to_share(std::uint8_t wire_share) {
   switch (static_cast<WireShare>(wire_share)) {
     case WireShare::kWeighted:
@@ -40,6 +51,21 @@ TenantShare to_share(std::uint8_t wire_share) {
 }
 
 }  // namespace
+
+const std::vector<ServeConfigField>& serve_config_fields() {
+  static const std::vector<ServeConfigField> fields = {
+      field<&ServeConfig::prcs>("prcs", "--prcs", 1, 1024),
+      field<&ServeConfig::cg>("cg", "--cg", 1, 1024),
+      field<&ServeConfig::job_classes>("job_classes", "--job-classes", 1, 64),
+      field<&ServeConfig::max_blocks>("max_blocks", "--max-blocks", 1, 100000),
+      field<&ServeConfig::macroblocks>("macroblocks", "--macroblocks", 1,
+                                       100000),
+      field<&ServeConfig::max_queue>("max_queue", "--max-queue", 1, 1000000),
+      field<&ServeConfig::retain_jobs>("retain_jobs", "--retain-jobs", 0,
+                                       1000000),
+  };
+  return fields;
+}
 
 const char* to_string(JobState state) {
   switch (state) {
@@ -92,12 +118,10 @@ ServeCore::ServeCore(const ServeConfig& config) : config_(config) {
   machine_ = std::make_unique<Machine>(library_, machine_config);
 
   std::ostringstream header;
-  header << "mrts.joblog.v1 prcs=" << config_.prcs << " cg=" << config_.cg
-         << " job_classes=" << config_.job_classes
-         << " max_blocks=" << config_.max_blocks
-         << " macroblocks=" << config_.macroblocks
-         << " max_queue=" << config_.max_queue
-         << " retain_jobs=" << config_.retain_jobs;
+  header << "mrts.joblog.v1";
+  for (const ServeConfigField& f : serve_config_fields()) {
+    header << ' ' << f.key << '=' << f.get(config_);
+  }
   log_.push_back(header.str());
 }
 
@@ -374,32 +398,12 @@ void ServeCore::retire(JobRecord& job) {
 
 namespace {
 
-/// Parses "key=value" with an unsigned value; false on mismatch.
-bool parse_kv(const std::string& token, const std::string& key,
-              std::uint64_t* out) {
-  const std::string prefix = key + "=";
-  if (token.rfind(prefix, 0) != 0) return false;
-  const std::string value = token.substr(prefix.size());
-  if (value.empty()) return false;
-  std::uint64_t n = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') return false;
-    n = n * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *out = n;
-  return true;
-}
-
 std::vector<std::string> split_ws(const std::string& line) {
   std::vector<std::string> out;
   std::istringstream in(line);
   std::string tok;
   while (in >> tok) out.push_back(tok);
   return out;
-}
-
-bool parse_u64(const std::string& tok, std::uint64_t* out) {
-  return parse_kv("x=" + tok, "x", out);
 }
 
 }  // namespace
@@ -418,34 +422,36 @@ ReplayResult replay_job_log(std::istream& in) {
   if (header.empty() || header[0] != "mrts.joblog.v1") {
     return fail(1, "expected mrts.joblog.v1 header");
   }
-  std::uint64_t prcs = 0, cg = 0, classes = 0, max_blocks = 0,
-                macroblocks = 0, max_queue = 0;
-  // Optional field: logs written before the retention GC existed omit it.
-  // Replays never poll status(), so the value is config-only here anyway.
-  std::uint64_t retain_jobs = ServeConfig{}.retain_jobs;
+  // retain_jobs is optional: logs written before the retention GC existed
+  // omit it. Replays never poll status(), so it is config-only here anyway.
+  const std::vector<ServeConfigField>& fields = serve_config_fields();
+  std::vector<bool> seen(fields.size(), false);
+  ServeConfig config;
   for (std::size_t i = 1; i < header.size(); ++i) {
     const std::string& tok = header[i];
-    if (!parse_kv(tok, "prcs", &prcs) && !parse_kv(tok, "cg", &cg) &&
-        !parse_kv(tok, "job_classes", &classes) &&
-        !parse_kv(tok, "max_blocks", &max_blocks) &&
-        !parse_kv(tok, "macroblocks", &macroblocks) &&
-        !parse_kv(tok, "max_queue", &max_queue) &&
-        !parse_kv(tok, "retain_jobs", &retain_jobs)) {
+    const std::size_t eq = tok.find('=');
+    std::size_t f = 0;
+    while (f < fields.size() && tok.compare(0, eq, fields[f].key) != 0) ++f;
+    if (eq == std::string::npos || f == fields.size()) {
       return fail(1, "unknown header field '" + tok + "'");
     }
+    if (seen[f]) return fail(1, "repeated header field '" + tok + "'");
+    std::uint64_t value = 0;
+    if (!parse_bounded(std::string_view(tok).substr(eq + 1), fields[f].lo,
+                       fields[f].hi, &value)) {
+      return fail(1, "bad header field '" + tok +
+                         "' (expected an integer in [" +
+                         std::to_string(fields[f].lo) + ", " +
+                         std::to_string(fields[f].hi) + "])");
+    }
+    seen[f] = true;
+    fields[f].set(config, value);
   }
-  if (prcs == 0 || cg == 0 || classes == 0 || max_blocks == 0 ||
-      macroblocks == 0 || max_queue == 0) {
-    return fail(1, "incomplete header");
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    if (!seen[f] && std::string_view(fields[f].key) != "retain_jobs") {
+      return fail(1, "incomplete header");
+    }
   }
-  ServeConfig config;
-  config.prcs = static_cast<unsigned>(prcs);
-  config.cg = static_cast<unsigned>(cg);
-  config.job_classes = static_cast<unsigned>(classes);
-  config.max_blocks = static_cast<unsigned>(max_blocks);
-  config.macroblocks = static_cast<unsigned>(macroblocks);
-  config.max_queue = static_cast<std::size_t>(max_queue);
-  config.retain_jobs = static_cast<std::size_t>(retain_jobs);
   result.config = config;
 
   ServeCore core(config);
@@ -457,24 +463,20 @@ ReplayResult replay_job_log(std::istream& in) {
     if (tok[0] == "submit") {
       if (tok.size() != 11) return fail(line_no, "submit needs 10 fields");
       SubmitFrame spec;
-      std::uint64_t id = 0, share = 0, weight = 0, rp = 0, rcg = 0, prio = 0,
-                    klass = 0, blocks = 0, seed = 0;
-      if (!parse_u64(tok[1], &id) || !parse_u64(tok[3], &share) ||
-          !parse_u64(tok[4], &weight) || !parse_u64(tok[5], &rp) ||
-          !parse_u64(tok[6], &rcg) || !parse_u64(tok[7], &prio) ||
-          !parse_u64(tok[8], &klass) || !parse_u64(tok[9], &blocks) ||
-          !parse_u64(tok[10], &seed)) {
-        return fail(line_no, "bad submit field");
-      }
+      std::uint64_t id = 0;
       spec.name = tok[2];
-      spec.share = static_cast<std::uint8_t>(share);
-      spec.weight = static_cast<std::uint32_t>(weight);
-      spec.reserved_prcs = static_cast<std::uint32_t>(rp);
-      spec.reserved_cg = static_cast<std::uint32_t>(rcg);
-      spec.priority = static_cast<std::uint32_t>(prio);
-      spec.job_class = static_cast<std::uint32_t>(klass);
-      spec.blocks = static_cast<std::uint32_t>(blocks);
-      spec.seed = seed;
+      // Each field parses into its own width: a value the frame field
+      // cannot hold fails the line instead of being cut down.
+      if (!parse_number(tok[1], &id) || !parse_number(tok[3], &spec.share) ||
+          !parse_number(tok[4], &spec.weight) ||
+          !parse_number(tok[5], &spec.reserved_prcs) ||
+          !parse_number(tok[6], &spec.reserved_cg) ||
+          !parse_number(tok[7], &spec.priority) ||
+          !parse_number(tok[8], &spec.job_class) ||
+          !parse_number(tok[9], &spec.blocks) ||
+          !parse_number(tok[10], &spec.seed)) {
+        return fail(line_no, "bad submit field in '" + line + "'");
+      }
       std::string why;
       if (!core.validate_spec(spec, &why)) return fail(line_no, why);
       const std::uint64_t got = core.submit(0, spec);
@@ -484,7 +486,7 @@ ReplayResult replay_job_log(std::istream& in) {
       }
     } else if (tok[0] == "run") {
       std::uint64_t id = 0;
-      if (tok.size() != 2 || !parse_u64(tok[1], &id)) {
+      if (tok.size() != 2 || !parse_number(tok[1], &id)) {
         return fail(line_no, "bad run line");
       }
       if (core.queue_depth() == 0) return fail(line_no, "run with empty queue");
@@ -497,7 +499,7 @@ ReplayResult replay_job_log(std::istream& in) {
       core.run_next();
     } else if (tok[0] == "cancel") {
       std::uint64_t id = 0;
-      if (tok.size() != 2 || !parse_u64(tok[1], &id)) {
+      if (tok.size() != 2 || !parse_number(tok[1], &id)) {
         return fail(line_no, "bad cancel line");
       }
       bool cancelled = false;

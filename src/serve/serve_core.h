@@ -51,6 +51,22 @@ struct ServeConfig {
   std::size_t retain_jobs = 1024;
 };
 
+/// One shape field of ServeConfig: its job-log header key, its mrts_serve
+/// flag and the values it accepts. The flag reads, the job-log header
+/// writer and the replay's header reader all go through this table, so a
+/// replayed log describes only cores the server itself could run.
+struct ServeConfigField {
+  const char* key;   ///< job-log header key, e.g. "max_blocks"
+  const char* flag;  ///< mrts_serve flag, e.g. "--max-blocks"
+  std::uint64_t lo;
+  std::uint64_t hi;
+  std::uint64_t (*get)(const ServeConfig&);
+  void (*set)(ServeConfig&, std::uint64_t);
+};
+
+/// Every ServeConfig shape field, in job-log header order.
+const std::vector<ServeConfigField>& serve_config_fields();
+
 /// Job lifecycle inside the core. v1 runs jobs one at a time, so there is
 /// no resident kRunning state — a job goes kQueued -> kDone atomically from
 /// the client's point of view (WireJobState::kRunning stays reserved).

@@ -1,14 +1,12 @@
 #include "util/trace.h"
 
 #include <array>
-#include <charconv>
-#include <cmath>
 #include <fstream>
 #include <istream>
 #include <set>
-#include <type_traits>
 
 #include "isa/ise_library.h"
+#include "util/parse_number.h"
 #include "util/text_buffer.h"
 
 namespace mrts {
@@ -327,23 +325,6 @@ std::optional<std::string_view> json_token(std::string_view line,
     while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
   }
   return line.substr(begin, end - begin);
-}
-
-/// Parses a whole numeric token into \p out: the mirror of the writer's
-/// to_chars. Fails on an empty token, trailing characters, a sign the field
-/// cannot hold, a value out of the field's range and (doubles) non-finite
-/// values, which JSON cannot express.
-template <typename T>
-bool parse_number(std::string_view token, T* out) {
-  T v{};
-  const char* const last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), last, v);
-  if (ec != std::errc() || ptr != last) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(v)) return false;
-  }
-  *out = v;
-  return true;
 }
 
 /// Optional numeric field: absent leaves \p out as is; present must parse.

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "isa/ise_builder.h"
 #include "isa/library_io.h"
+#include "util/rng.h"
 #include "workload/h264_app.h"
 
 namespace mrts {
@@ -91,6 +94,92 @@ TEST(LibraryIo, RejectsMalformedInput) {
                std::invalid_argument);  // increasing latency (validation)
   EXPECT_THROW(parse_library("datapath d FG nonsense=1\n"),
                std::invalid_argument);
+}
+
+TEST(LibraryIo, NumbersParseInFullAndFitTheirField) {
+  // std::stoull read "1x" as 1 and "-1" as 2^64-1; each now fails its line.
+  const std::string dp = "datapath dp0 FG units=1 bitstream=83047\n";
+  const std::string kernel = "kernel sad sw=520\n";
+  const std::string ise = "ise sad_v1 kernel=sad dps=dp0 lat=520,100\n";
+  struct Case {
+    std::string text;
+    const char* named;
+  };
+  const Case cases[] = {
+      {"datapath dp0 FG units=1x bitstream=83047\n" + kernel + ise,
+       "line 1: bad number '1x'"},
+      {"datapath dp0 FG units=4294967296\n" + kernel + ise,
+       "line 1: bad number '4294967296'"},
+      {dp + "kernel sad sw=-1\n" +
+           "ise sad_v1 kernel=sad dps=dp0 lat=18446744073709551615,100\n",
+       "line 2: bad number '-1'"},
+      {dp + "kernel sad sw=18446744073709551616\n" + ise,
+       "line 2: bad number '18446744073709551616'"},
+      {dp + "kernel sad sw=+520\n" + ise, "line 2: bad number '+520'"},
+      {dp + kernel + "ise sad_v1 kernel=sad dps=dp0 lat=520,100x\n",
+       "line 3: bad number '100x'"},
+      {dp + kernel + "ise sad_v1 kernel=sad dps=dp0 lat=520,\n",
+       "line 3: bad number ''"},
+  };
+  EXPECT_NO_THROW(parse_library(dp + kernel + ise));
+  for (const Case& c : cases) {
+    try {
+      parse_library(c.text);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.named), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Fuzz: every prefix and seeded byte mutations of a real library file never
+// crash the parser, and the only failure it reports is std::invalid_argument.
+bool parses_or_rejects(const std::string& text) {
+  try {
+    parse_library(text);
+  } catch (const std::invalid_argument&) {
+  } catch (...) {
+    return false;
+  }
+  return true;
+}
+
+TEST(LibraryIoFuzz, EveryPrefixParsesOrIsRejected) {
+  const std::string text =
+      serialize_library(build_h264_application({}).library);
+  for (std::size_t n = 0; n <= text.size(); ++n) {
+    ASSERT_TRUE(parses_or_rejects(text.substr(0, n))) << "prefix " << n;
+  }
+}
+
+TEST(LibraryIoFuzz, SeededByteMutationsParseOrAreRejected) {
+  const std::string text =
+      serialize_library(build_h264_application({}).library);
+  // Replacement bytes lean towards the format's own alphabet so mutations
+  // reach the number and attribute parsers, not just the directive check.
+  const std::string alphabet = "0123456789=,-+ x\n#.eFGC\xff";
+  Rng rng(20261020);
+  for (int round = 0; round < 2000; ++round) {
+    std::string copy = text;
+    const std::size_t edits = 1 + rng.next_below(4);
+    for (std::size_t e = 0; e < edits; ++e) {
+      const std::size_t pos = rng.next_below(copy.size());
+      switch (rng.next_below(3)) {
+        case 0:
+          copy[pos] = alphabet[rng.next_below(alphabet.size())];
+          break;
+        case 1:
+          copy.insert(pos, 1, alphabet[rng.next_below(alphabet.size())]);
+          break;
+        default:
+          copy.erase(pos, 1);
+          break;
+      }
+    }
+    ASSERT_TRUE(parses_or_rejects(copy)) << "round " << round << ":\n"
+                                         << copy;
+  }
 }
 
 TEST(LibraryIo, SaveAndLoadFile) {

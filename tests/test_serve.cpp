@@ -347,6 +347,58 @@ TEST(ServeCore, ReplayRejectsMalformedLogs) {
   EXPECT_FALSE(replay_of(header + "submit 5 t 0 1 0 0 0 0 1 9\n").ok);
 }
 
+TEST(ServeCore, ReplayRejectsValuesTheFieldsCannotHold) {
+  auto replay_error = [](const std::string& text) {
+    std::istringstream in(text);
+    const ReplayResult result = replay_job_log(in);
+    EXPECT_FALSE(result.ok) << text;
+    return result.error;
+  };
+  // Header values wrapped modulo 2^64 or were cut to 32 bits; they now
+  // get the bounds of the mrts_serve flags of the same name.
+  EXPECT_NE(replay_error("mrts.joblog.v1 prcs=18446744073709551618 cg=1 "
+                         "job_classes=2 max_blocks=8 macroblocks=4 "
+                         "max_queue=8\n")
+                .find("joblog line 1: bad header field "
+                      "'prcs=18446744073709551618'"),
+            std::string::npos);
+  EXPECT_NE(replay_error("mrts.joblog.v1 prcs=4 cg=4294967298 job_classes=2 "
+                         "max_blocks=8 macroblocks=4 max_queue=8\n")
+                .find("joblog line 1: bad header field 'cg=4294967298'"),
+            std::string::npos);
+  EXPECT_NE(replay_error("mrts.joblog.v1 prcs=4 cg=1 job_classes=65 "
+                         "max_blocks=8 macroblocks=4 max_queue=8\n")
+                .find("joblog line 1:"),
+            std::string::npos);
+  EXPECT_NE(replay_error("mrts.joblog.v1 prcs=4 prcs=5 cg=1 job_classes=2 "
+                         "max_blocks=8 macroblocks=4 max_queue=8\n")
+                .find("joblog line 1: repeated header field 'prcs=5'"),
+            std::string::npos);
+  // A submit field narrower than 64 bits is range-checked: weight
+  // 4294967297 used to run as weight 1.
+  const std::string header =
+      "mrts.joblog.v1 prcs=4 cg=1 job_classes=2 max_blocks=8 macroblocks=4 "
+      "max_queue=8\n";
+  EXPECT_NE(replay_error(header + "submit 1 t 0 4294967297 0 0 0 0 1 9\n")
+                .find("joblog line 2: bad submit field"),
+            std::string::npos);
+  EXPECT_NE(replay_error(header + "submit 1 t 256 1 0 0 0 0 1 9\n")
+                .find("joblog line 2: bad submit field"),
+            std::string::npos);
+}
+
+TEST(ServeCore, JobLogHeaderRoundTripsEveryConfigField) {
+  ServeConfig config = small_config();
+  config.retain_jobs = 17;
+  ServeCore core(config);
+  std::istringstream in(core.job_log().front() + "\n");
+  const ReplayResult result = replay_job_log(in);
+  ASSERT_TRUE(result.ok) << result.error;
+  for (const ServeConfigField& f : serve_config_fields()) {
+    EXPECT_EQ(f.get(result.config), f.get(config)) << f.key;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Session: the protocol state machine, driven with raw bytes.
 // ---------------------------------------------------------------------------

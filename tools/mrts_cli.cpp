@@ -76,21 +76,19 @@
 //
 //   mrts_cli --help / mrts_cli <verb> --help
 //       Print the flag table of every verb (or one verb) and exit 0. The
-//       help text is generated from the same CliSpec table the parsers
-//       consult (util/cli_spec.h), so it cannot drift from what the binary
-//       accepts; `run`/`checkpoint` also take --no-bb-cache to disable the
-//       simulator fast paths (outputs stay bit-identical).
+//       help text is generated from the same CliSpec table that
+//       CliSpec::parse walks (util/cli_spec.h), so it cannot drift from
+//       what the binary accepts; `run`/`checkpoint` also take --no-bb-cache
+//       to disable the simulator fast paths (outputs stay bit-identical).
 //
-// Exit code 0 on success, 1 on usage errors (unknown verb, bad or trailing
-// arguments), 2 on input/runtime errors (unreadable files, bad content).
+// Every flag takes `--flag V` or `--flag=V`. Exit code 0 on success, 1 on
+// usage errors (unknown verb or flag, a flag without its value, a repeated
+// flag, missing or trailing positionals), 2 on input/runtime errors
+// (malformed or out-of-range numbers, unreadable files, bad content).
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -100,6 +98,7 @@
 #include "mrts.h"
 #include "util/cli_spec.h"
 #include "util/fastpath.h"
+#include "util/parse_number.h"
 #include "util/table.h"
 
 namespace {
@@ -107,8 +106,8 @@ namespace {
 using namespace mrts;
 
 /// The single source of truth for verbs and flags: `--help` renders this
-/// table and the parsers look flags up in it, so the two cannot drift
-/// (tests/test_cli_spec.cpp and the cli_help smoke pin the contract).
+/// table and CliSpec::parse walks the command line against it, so the two
+/// cannot drift (tests/test_cli_spec.cpp pins the contract).
 const CliSpec& cli_spec() {
   static const CliSpec spec = [] {
     CliSpec s("mrts_cli", "command-line driver for the mRTS library",
@@ -186,11 +185,6 @@ const CliSpec& cli_spec() {
   return spec;
 }
 
-int usage() {
-  std::fputs(cli_spec().help().c_str(), stderr);
-  return 1;
-}
-
 int cmd_info(const std::string& path) {
   const IseLibrary lib = load_library(path);
   std::printf("%zu data paths, %zu kernels, %zu ISE variants\n\n",
@@ -214,21 +208,10 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-/// Strict uint64 token parser: digits only, the whole token, no overflow.
-bool parse_u64_token(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s[0] == '-' || s[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
 /// Strict parser for the value part of a `KERNEL=e[,tf,tb]` trigger spec.
-/// Every token must parse in full: `1.5x`, `inf`, `nan`, empty tokens and
-/// negative counts are input errors (exit 2), never silently truncated the
-/// way a bare strtod would.
+/// Every token must parse in full (util/parse_number.h): `1.5x`, `inf`,
+/// `nan`, empty tokens and negative counts are input errors (exit 2), never
+/// silently truncated the way a bare strtod would.
 bool parse_trigger_values(const std::string& text, TriggerEntry* entry) {
   std::vector<std::string> tokens;
   std::size_t begin = 0;
@@ -238,30 +221,22 @@ bool parse_trigger_values(const std::string& text, TriggerEntry* entry) {
     if (comma == std::string::npos) break;
     begin = comma + 1;
   }
-  if (tokens.empty() || tokens.size() > 3) return false;
-  char* end = nullptr;
-  const double e = std::strtod(tokens[0].c_str(), &end);
-  if (tokens[0].empty() || end != tokens[0].c_str() + tokens[0].size() ||
-      !std::isfinite(e) || e < 0.0) {
+  if (tokens.size() > 3 ||
+      !parse_number(tokens[0], &entry->expected_executions) ||
+      entry->expected_executions < 0.0) {
     return false;
   }
-  entry->expected_executions = e;
-  if (tokens.size() >= 2 && !parse_u64_token(tokens[1], &entry->time_to_first)) {
-    return false;
-  }
-  if (tokens.size() == 3 && !parse_u64_token(tokens[2], &entry->time_between)) {
-    return false;
-  }
-  return true;
+  return (tokens.size() < 2 ||
+          parse_number(tokens[1], &entry->time_to_first)) &&
+         (tokens.size() < 3 || parse_number(tokens[2], &entry->time_between));
 }
 
 int cmd_select(const std::string& path, unsigned prcs, unsigned cg,
-               char** specs, int count) {
+               const std::vector<std::string>& specs) {
   const IseLibrary lib = load_library(path);
   TriggerInstruction ti;
   ti.functional_block = FunctionalBlockId{0};
-  for (int i = 0; i < count; ++i) {
-    const std::string spec = specs[i];
+  for (const std::string& spec : specs) {
     const std::size_t eq = spec.find('=');
     if (eq == std::string::npos) {
       std::fprintf(stderr, "bad trigger entry '%s' (expected KERNEL=e[,tf,tb])\n",
@@ -287,7 +262,6 @@ int cmd_select(const std::string& path, unsigned prcs, unsigned cg,
     }
     ti.entries.push_back(entry);
   }
-  if (ti.entries.empty()) return usage();
 
   const HeuristicSelector selector(lib);
   ReconfigPlanner planner(lib.data_paths(), prcs, cg, 0);
@@ -300,38 +274,6 @@ int cmd_select(const std::string& path, unsigned prcs, unsigned cg,
               result.selected.size(), result.total_profit,
               static_cast<unsigned long long>(result.overhead_cycles));
   return 0;
-}
-
-/// Strict probability parser: the full token must be a finite double in
-/// [0, 1]. Rejects NaN/inf, negatives, > 1 and trailing garbage — bad values
-/// are input errors (exit 2), never silently clamped.
-bool parse_probability(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;  // NaN fails every comparison
-  *out = v;
-  return true;
-}
-
-/// Strict uint64 parser: digits only (no sign), no trailing garbage, no
-/// overflow past 2^64-1.
-bool parse_seed(const char* s, std::uint64_t* out) {
-  if (s[0] == '\0' || s[0] == '-' || s[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-/// Strict bounded-unsigned parser for the retry budget.
-bool parse_retries(const char* s, unsigned* out) {
-  std::uint64_t v = 0;
-  if (!parse_seed(s, &v) || v > 1000) return false;  // sane retry ceiling
-  *out = static_cast<unsigned>(v);
-  return true;
 }
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -394,7 +336,9 @@ bool build_workload(const std::string& which, unsigned frames, Workload* w) {
 int run_compare(const CheckpointMeta& meta,
                 const std::vector<std::uint8_t>* resume) {
   Workload w;
-  if (!build_workload(meta.app, meta.frames, &w)) return usage();
+  if (!build_workload(meta.app, meta.frames, &w)) {
+    return cli_spec().usage();
+  }
   const IseLibrary* lib = w.lib;
   const ApplicationTrace* trace = w.trace;
 
@@ -559,7 +503,9 @@ int run_compare(const CheckpointMeta& meta,
 /// (the crash-soak check diffs exactly that).
 int cmd_checkpoint(const CheckpointMeta& meta, Cycles at_cycle) {
   Workload w;
-  if (!build_workload(meta.app, meta.frames, &w)) return usage();
+  if (!build_workload(meta.app, meta.frames, &w)) {
+    return cli_spec().usage();
+  }
 
   const bool instrument =
       !meta.trace_path.empty() || !meta.report_path.empty();
@@ -608,14 +554,6 @@ struct TaskSpec {
   TenantPolicy policy;
 };
 
-/// Strict bounded-unsigned parser (full token, digits only).
-bool parse_bounded(const std::string& s, std::uint64_t max, unsigned* out) {
-  std::uint64_t v = 0;
-  if (!parse_seed(s.c_str(), &v) || v > max) return false;
-  *out = static_cast<unsigned>(v);
-  return true;
-}
-
 /// Parses a run-multi task spec. Malformed specs are input errors (exit 2):
 /// the caller prints \p err and bails, nothing is silently defaulted.
 bool parse_task_spec(const std::string& spec, TaskSpec* out,
@@ -630,7 +568,8 @@ bool parse_task_spec(const std::string& spec, TaskSpec* out,
 
   const std::size_t at = rest.find('@');
   if (at != std::string::npos) {
-    if (!parse_bounded(rest.substr(at + 1), 1000000, &out->policy.priority)) {
+    if (!parse_bounded(rest.substr(at + 1), 0, 1000000,
+                       &out->policy.priority)) {
       *err = "bad priority '" + rest.substr(at + 1) +
              "' (expected an integer in [0,1000000])";
       return false;
@@ -645,7 +584,7 @@ bool parse_task_spec(const std::string& spec, TaskSpec* out,
   if (policy == "weighted") {
     out->policy.share = TenantShare::kWeighted;
     out->policy.weight = 1;
-    if (!arg.empty() && !parse_bounded(arg, 1000, &out->policy.weight)) {
+    if (!arg.empty() && !parse_bounded(arg, 0, 1000, &out->policy.weight)) {
       *err = "bad weight '" + arg + "' (expected an integer in [0,1000])";
       return false;
     }
@@ -657,8 +596,10 @@ bool parse_task_spec(const std::string& spec, TaskSpec* out,
     out->policy.share = TenantShare::kReserved;
     const std::size_t plus = arg.find('+');
     if (plus == std::string::npos ||
-        !parse_bounded(arg.substr(0, plus), 1000, &out->policy.reserved_prcs) ||
-        !parse_bounded(arg.substr(plus + 1), 1000, &out->policy.reserved_cg)) {
+        !parse_bounded(arg.substr(0, plus), 0, 1000,
+                       &out->policy.reserved_prcs) ||
+        !parse_bounded(arg.substr(plus + 1), 0, 1000,
+                       &out->policy.reserved_cg)) {
       *err = "bad reservation '" + arg + "' (expected <prcs>+<cg>, e.g. 2+1)";
       return false;
     }
@@ -997,248 +938,154 @@ int cmd_trace_analyze(const std::string& path, const std::string& out_path) {
   return 0;
 }
 
+/// Bounds of the fabric and workload counts on the command line.
+constexpr unsigned kMaxFabric = 1024;
+constexpr unsigned kMaxBlocks = 100000;
+constexpr std::uint64_t kMaxU64 = ~std::uint64_t{0};
+
+/// `run` and `checkpoint`: the command line becomes the CheckpointMeta
+/// that run_compare and cmd_checkpoint take.
+int cmd_run_verb(bool checkpoint_verb, CliArgs& args) {
+  const std::vector<std::string>& pos = args.positionals;
+  if (pos.empty() || pos.size() > 4) return cli_spec().usage();
+  CheckpointMeta meta;
+  meta.app = pos[0];
+  meta.prcs = 2;
+  meta.cg = 2;
+  meta.frames = 8;
+  double fault_rate = 0.0;
+  std::uint64_t fault_seed = 42;
+  unsigned max_retries = 3;
+  Cycles at_cycle = 0;
+  const bool ok =
+      (pos.size() < 2 ||
+       args.read_token("prcs", pos[1], 0, kMaxFabric, &meta.prcs)) &&
+      (pos.size() < 3 ||
+       args.read_token("cg", pos[2], 0, kMaxFabric, &meta.cg)) &&
+      (pos.size() < 4 ||
+       args.read_token("frames", pos[3], 1, kMaxBlocks, &meta.frames)) &&
+      args.read_text("--trace", &meta.trace_path) &&
+      args.read_text("--report", &meta.report_path) &&
+      args.read_probability("--fault-rate", &fault_rate) &&
+      args.read("--fault-seed", 0, kMaxU64, &fault_seed) &&
+      args.read("--max-retries", 0, 1000, &max_retries) &&
+      args.read("--checkpoint-every", 1, kMaxU64, &meta.checkpoint_every) &&
+      args.read_text("--checkpoint", &meta.checkpoint_path) &&
+      args.read("--at-cycle", 1, kMaxU64, &at_cycle) &&
+      args.read_text("--out", &meta.checkpoint_path);
+  if (!ok) return cli_spec().reject(args.error);
+  // --checkpoint-every/--checkpoint come as a pair; checkpoint needs both
+  // --at-cycle and --out.
+  if (!checkpoint_verb &&
+      (meta.checkpoint_every > 0) != !meta.checkpoint_path.empty()) {
+    return cli_spec().usage();
+  }
+  if (checkpoint_verb && (at_cycle == 0 || meta.checkpoint_path.empty())) {
+    return cli_spec().usage();
+  }
+  if (args.has("--no-bb-cache")) set_fastpath_enabled(false);
+  if (fault_rate > 0.0) {  // default meta.fault: fault-free
+    meta.fault = FaultModelConfig::uniform(fault_rate, fault_seed, max_retries);
+  }
+  if (checkpoint_verb) return cmd_checkpoint(meta, at_cycle);
+  return run_compare(meta, nullptr);
+}
+
+int run_verb(const std::string& command, CliArgs& args) {
+  const std::vector<std::string>& pos = args.positionals;
+  if (command == "info" || command == "restore" ||
+      command == "trace-summary" || command == "trace-analyze") {
+    if (pos.size() != 1) return cli_spec().usage();
+  }
+  if (command == "info") return cmd_info(pos[0]);
+  if (command == "select") {
+    if (pos.size() < 4) return cli_spec().usage();
+    unsigned prcs = 0;
+    unsigned cg = 0;
+    if (!args.read_token("prcs", pos[1], 0, kMaxFabric, &prcs) ||
+        !args.read_token("cg", pos[2], 0, kMaxFabric, &cg)) {
+      return cli_spec().reject(args.error);
+    }
+    return cmd_select(pos[0], prcs, cg, {pos.begin() + 3, pos.end()});
+  }
+  if (command == "run" || command == "checkpoint") {
+    return cmd_run_verb(command == "checkpoint", args);
+  }
+  if (command == "restore") {
+    std::vector<std::uint8_t> bytes;
+    std::string err;
+    if (!read_snapshot_file(pos[0], &bytes, &err)) {
+      std::fprintf(stderr, "error: %s\n", err.c_str());
+      return 2;
+    }
+    // Throws SnapshotError (exit 2 in main) on truncated/corrupt/
+    // wrong-version images, before any runtime state exists to damage.
+    const CheckpointMeta meta = read_snapshot_meta(bytes);
+    return run_compare(meta, &bytes);
+  }
+  if (command == "run-multi") {
+    if (pos.size() < 4) return cli_spec().usage();
+    unsigned prcs = 0;
+    unsigned cg = 0;
+    unsigned blocks = 0;
+    if (!args.read_token("prcs", pos[0], 1, kMaxFabric, &prcs) ||
+        !args.read_token("cg", pos[1], 1, kMaxFabric, &cg) ||
+        !args.read_token("blocks", pos[2], 1, kMaxBlocks, &blocks)) {
+      return cli_spec().reject(args.error);
+    }
+    return cmd_run_multi(prcs, cg, blocks, {pos.begin() + 3, pos.end()});
+  }
+  if (command == "run-cmp") {
+    if (pos.size() < 4) return cli_spec().usage();
+    unsigned cores = 0;
+    unsigned prcs = 0;
+    unsigned cg = 0;
+    unsigned blocks = 0;
+    unsigned hop_stride = 0;
+    unsigned transfers_per_block = 2;
+    if (!args.read_token("cores", pos[0], 1, kMaxFabric, &cores) ||
+        !args.read_token("prcs", pos[1], 1, kMaxFabric, &prcs) ||
+        !args.read_token("cg", pos[2], 1, kMaxFabric, &cg) ||
+        !args.read_token("blocks", pos[3], 1, kMaxBlocks, &blocks) ||
+        !args.read("--hop-stride", 0, kMaxFabric, &hop_stride) ||
+        !args.read("--transfers-per-block", 0, kMaxFabric,
+                   &transfers_per_block)) {
+      return cli_spec().reject(args.error);
+    }
+    return cmd_run_cmp(cores, prcs, cg, blocks, hop_stride,
+                       transfers_per_block, {pos.begin() + 4, pos.end()});
+  }
+  if (command == "trace-summary") return cmd_trace_summary(pos[0]);
+  std::string out_path;
+  if (!args.read_text("--out", &out_path)) {
+    return cli_spec().reject(args.error);
+  }
+  return cmd_trace_analyze(pos[0], out_path);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
+  if (argc < 2) return cli_spec().usage();
   const std::string command = argv[1];
   if (command == "--help" || command == "help") {
     std::fputs(cli_spec().help().c_str(), stdout);
     return 0;
   }
+  const CliVerb* verb = cli_spec().verb(command);
+  if (verb == nullptr) return cli_spec().usage();
+  CliArgs args = CliSpec::parse(*verb, argc, argv, 2);
   // `mrts_cli <verb> --help` prints the verb's table-generated help and
   // exits 0, before any argument validation.
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      const CliVerb* verb = cli_spec().verb(command);
-      if (verb == nullptr) return usage();
-      std::fputs(cli_spec().verb_help(*verb).c_str(), stdout);
-      return 0;
-    }
+  if (args.help) {
+    std::fputs(cli_spec().verb_help(*verb).c_str(), stdout);
+    return 0;
   }
+  if (!args.ok()) return cli_spec().reject(args.error);
   try {
-    if (command == "info") {
-      if (argc != 3) return usage();
-      return cmd_info(argv[2]);
-    }
-    if (command == "select") {
-      if (argc < 6) return usage();
-      return cmd_select(argv[2],
-                        static_cast<unsigned>(std::atoi(argv[3])),
-                        static_cast<unsigned>(std::atoi(argv[4])), argv + 5,
-                        argc - 5);
-    }
-    if (command == "run" || command == "checkpoint") {
-      const bool checkpoint_verb = command == "checkpoint";
-      std::string trace_path;
-      std::string report_path;
-      double fault_rate = 0.0;
-      std::uint64_t fault_seed = 42;
-      unsigned max_retries = 3;
-      std::uint64_t checkpoint_every = 0;
-      std::string checkpoint_path;
-      std::uint64_t at_cycle = 0;
-      std::vector<std::string> positional;
-      // Flag recognition comes from the spec table (run and checkpoint have
-      // different flag sets there); only the value validation lives here.
-      const CliVerb& verb_spec = *cli_spec().verb(command);
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.empty() || arg[0] != '-') {
-          positional.push_back(arg);
-          continue;
-        }
-        const CliFlag* flag = CliSpec::flag(verb_spec, arg);
-        if (flag == nullptr) return usage();  // unknown option for this verb
-        const char* value = nullptr;
-        if (!flag->value.empty()) {
-          if (i + 1 >= argc) return usage();
-          value = argv[++i];
-        }
-        if (arg == "--trace") {
-          if (!trace_path.empty()) return usage();
-          trace_path = value;
-        } else if (arg == "--report") {
-          if (!report_path.empty()) return usage();
-          report_path = value;
-        } else if (arg == "--fault-rate") {
-          if (!parse_probability(value, &fault_rate)) {
-            std::fprintf(stderr,
-                         "error: invalid --fault-rate '%s' (expected a "
-                         "probability in [0,1])\n",
-                         value);
-            return 2;
-          }
-        } else if (arg == "--fault-seed") {
-          if (!parse_seed(value, &fault_seed)) {
-            std::fprintf(stderr,
-                         "error: invalid --fault-seed '%s' (expected an "
-                         "unsigned 64-bit integer)\n",
-                         value);
-            return 2;
-          }
-        } else if (arg == "--max-retries") {
-          if (!parse_retries(value, &max_retries)) {
-            std::fprintf(stderr,
-                         "error: invalid --max-retries '%s' (expected an "
-                         "integer in [0,1000])\n",
-                         value);
-            return 2;
-          }
-        } else if (arg == "--no-bb-cache") {
-          set_fastpath_enabled(false);
-        } else if (arg == "--checkpoint-every") {
-          if (!parse_seed(value, &checkpoint_every) || checkpoint_every == 0) {
-            std::fprintf(stderr,
-                         "error: invalid --checkpoint-every '%s' (expected a "
-                         "positive cycle count)\n",
-                         value);
-            return 2;
-          }
-        } else if (arg == "--checkpoint") {
-          if (!checkpoint_path.empty()) return usage();
-          checkpoint_path = value;
-        } else if (arg == "--at-cycle") {
-          if (!parse_seed(value, &at_cycle) || at_cycle == 0) {
-            std::fprintf(stderr,
-                         "error: invalid --at-cycle '%s' (expected a "
-                         "positive cycle count)\n",
-                         value);
-            return 2;
-          }
-        } else if (arg == "--out") {
-          if (!checkpoint_path.empty()) return usage();
-          checkpoint_path = value;
-        } else {
-          return usage();  // flag in the table but not handled: keep in sync
-        }
-      }
-      if (positional.empty() || positional.size() > 4) return usage();
-      // --checkpoint-every/--checkpoint come as a pair; checkpoint needs
-      // both --at-cycle and --out.
-      if (!checkpoint_verb &&
-          (checkpoint_every > 0) != !checkpoint_path.empty()) {
-        return usage();
-      }
-      if (checkpoint_verb && (at_cycle == 0 || checkpoint_path.empty())) {
-        return usage();
-      }
-      CheckpointMeta meta;
-      meta.app = positional[0];
-      meta.prcs = positional.size() > 1
-                      ? static_cast<unsigned>(std::atoi(positional[1].c_str()))
-                      : 2;
-      meta.cg = positional.size() > 2
-                    ? static_cast<unsigned>(std::atoi(positional[2].c_str()))
-                    : 2;
-      meta.frames =
-          positional.size() > 3
-              ? static_cast<unsigned>(std::atoi(positional[3].c_str()))
-              : 8;
-      if (fault_rate > 0.0) {  // default meta.fault: fault-free
-        meta.fault =
-            FaultModelConfig::uniform(fault_rate, fault_seed, max_retries);
-      }
-      meta.trace_path = trace_path;
-      meta.report_path = report_path;
-      meta.checkpoint_every = checkpoint_every;
-      meta.checkpoint_path = checkpoint_path;
-      if (checkpoint_verb) return cmd_checkpoint(meta, at_cycle);
-      return run_compare(meta, nullptr);
-    }
-    if (command == "restore") {
-      if (argc != 3) return usage();
-      std::vector<std::uint8_t> bytes;
-      std::string err;
-      if (!read_snapshot_file(argv[2], &bytes, &err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 2;
-      }
-      // Throws SnapshotError (exit 2 below) on truncated/corrupt/
-      // wrong-version images, before any runtime state exists to damage.
-      const CheckpointMeta meta = read_snapshot_meta(bytes);
-      return run_compare(meta, &bytes);
-    }
-    if (command == "run-multi") {
-      if (argc < 6) return usage();
-      unsigned prcs = 0;
-      unsigned cg = 0;
-      unsigned blocks = 0;
-      if (!parse_bounded(argv[2], 1024, &prcs) || prcs == 0 ||
-          !parse_bounded(argv[3], 1024, &cg) || cg == 0 ||
-          !parse_bounded(argv[4], 100000, &blocks) || blocks == 0) {
-        std::fprintf(stderr,
-                     "error: invalid fabric/block counts '%s %s %s' "
-                     "(expected positive integers)\n",
-                     argv[2], argv[3], argv[4]);
-        return 2;
-      }
-      std::vector<std::string> specs;
-      for (int i = 5; i < argc; ++i) {
-        if (argv[i][0] == '-') return usage();  // no options defined
-        specs.emplace_back(argv[i]);
-      }
-      return cmd_run_multi(prcs, cg, blocks, specs);
-    }
-    if (command == "run-cmp") {
-      if (argc < 6) return usage();
-      unsigned cores = 0;
-      unsigned prcs = 0;
-      unsigned cg = 0;
-      unsigned blocks = 0;
-      if (!parse_bounded(argv[2], 1024, &cores) || cores == 0 ||
-          !parse_bounded(argv[3], 1024, &prcs) || prcs == 0 ||
-          !parse_bounded(argv[4], 1024, &cg) || cg == 0 ||
-          !parse_bounded(argv[5], 100000, &blocks) || blocks == 0) {
-        std::fprintf(stderr,
-                     "error: invalid core/fabric/block counts '%s %s %s %s' "
-                     "(expected positive integers)\n",
-                     argv[2], argv[3], argv[4], argv[5]);
-        return 2;
-      }
-      unsigned hop_stride = 0;
-      unsigned transfers_per_block = 2;
-      std::vector<std::string> specs;
-      for (int i = 6; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--hop-stride" || arg == "--transfers-per-block") {
-          if (i + 1 >= argc) return usage();
-          unsigned* target =
-              arg == "--hop-stride" ? &hop_stride : &transfers_per_block;
-          if (!parse_bounded(argv[i + 1], 1024, target)) {
-            std::fprintf(stderr, "error: invalid %s '%s' (expected an "
-                         "integer in [0, 1024])\n",
-                         arg.c_str(), argv[i + 1]);
-            return 2;
-          }
-          ++i;
-        } else if (arg[0] == '-') {
-          return usage();
-        } else {
-          specs.push_back(arg);
-        }
-      }
-      return cmd_run_cmp(cores, prcs, cg, blocks, hop_stride,
-                         transfers_per_block, specs);
-    }
-    if (command == "trace-summary") {
-      if (argc != 3) return usage();
-      return cmd_trace_summary(argv[2]);
-    }
-    if (command == "trace-analyze") {
-      if (argc < 3) return usage();
-      std::string out_path;
-      if (argc == 5) {
-        if (std::string(argv[3]) != "--out") return usage();
-        out_path = argv[4];
-      } else if (argc != 3) {
-        return usage();
-      }
-      return cmd_trace_analyze(argv[2], out_path);
-    }
+    return run_verb(command, args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  return usage();
 }

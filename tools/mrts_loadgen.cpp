@@ -19,7 +19,6 @@
 // connection/protocol failures.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -60,24 +59,6 @@ const CliSpec& cli_spec() {
     return s;
   }();
   return spec;
-}
-
-int usage() {
-  std::fputs(cli_spec().help().c_str(), stderr);
-  return 1;
-}
-
-bool parse_unsigned(const char* text, std::uint64_t max, std::uint64_t* out) {
-  if (text == nullptr || *text == '\0') return false;
-  std::uint64_t n = 0;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return false;
-    if (n > max / 10) return false;
-    n = n * 10 + static_cast<std::uint64_t>(*p - '0');
-    if (n > max) return false;
-  }
-  *out = n;
-  return true;
 }
 
 /// Deterministic job mix: mostly weighted pool tenants, some best-effort,
@@ -145,47 +126,23 @@ int main(int argc, char** argv) {
   std::uint64_t cancel_every = 0;
   std::uint64_t drop_every = 0;
   std::string save_reports;
-  bool quiet = false;
 
-  const CliVerb& verb = *cli_spec().verb("");
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help") {
-      std::fputs(cli_spec().help().c_str(), stdout);
-      return 0;
-    }
-    const CliFlag* flag = CliSpec::flag(verb, arg);
-    if (flag == nullptr) return usage();
-    const char* value = nullptr;
-    if (!flag->value.empty()) {
-      if (i + 1 >= argc) return usage();
-      value = argv[++i];
-    }
-    bool ok = true;
-    if (arg == "--socket") {
-      socket_path = value;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--save-reports") {
-      save_reports = value;
-    } else if (arg == "--cycles") {
-      ok = parse_unsigned(value, 100000000, &cycles) && cycles > 0;
-    } else if (arg == "--seed") {
-      ok = parse_unsigned(value, ~0ull, &seed);
-    } else if (arg == "--jobs-per-cycle") {
-      ok = parse_unsigned(value, 64, &jobs_per_cycle) && jobs_per_cycle > 0;
-    } else if (arg == "--cancel-every") {
-      ok = parse_unsigned(value, 1u << 30, &cancel_every);
-    } else if (arg == "--drop-every") {
-      ok = parse_unsigned(value, 1u << 30, &drop_every);
-    }
-    if (!ok) {
-      std::fprintf(stderr, "error: invalid value for %s: '%s'\n", arg.c_str(),
-                   value == nullptr ? "" : value);
-      return 2;
-    }
+  CliArgs args = CliSpec::parse(*cli_spec().verb(""), argc, argv, 1);
+  if (args.help) {
+    std::fputs(cli_spec().help().c_str(), stdout);
+    return 0;
   }
-  if (socket_path.empty() || cycles == 0) return usage();
+  if (!args.ok() || !args.read_text("--socket", &socket_path) ||
+      !args.read_text("--save-reports", &save_reports) ||
+      !args.read("--cycles", 1, 100000000, &cycles) ||
+      !args.read("--seed", 0, ~std::uint64_t{0}, &seed) ||
+      !args.read("--jobs-per-cycle", 1, 64, &jobs_per_cycle) ||
+      !args.read("--cancel-every", 0, 1u << 30, &cancel_every) ||
+      !args.read("--drop-every", 0, 1u << 30, &drop_every)) {
+    return cli_spec().reject(args.error);
+  }
+  const bool quiet = args.has("--quiet");
+  if (socket_path.empty() || cycles == 0) return cli_spec().usage();
 
   std::ofstream reports;
   if (!save_reports.empty()) {

@@ -19,7 +19,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -69,24 +68,6 @@ const CliSpec& cli_spec() {
   return spec;
 }
 
-int usage() {
-  std::fputs(cli_spec().help().c_str(), stderr);
-  return 1;
-}
-
-bool parse_unsigned(const char* text, std::uint64_t max, std::uint64_t* out) {
-  if (text == nullptr || *text == '\0') return false;
-  std::uint64_t n = 0;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return false;
-    if (n > max / 10) return false;
-    n = n * 10 + static_cast<std::uint64_t>(*p - '0');
-    if (n > max) return false;
-  }
-  *out = n;
-  return true;
-}
-
 int run_replay(const std::string& joblog_path, const std::string& out_path) {
   std::ifstream in(joblog_path);
   if (!in) {
@@ -120,60 +101,29 @@ int main(int argc, char** argv) {
   std::string replay_path;
   std::string out_path;
 
-  const CliVerb& verb = *cli_spec().verb("");
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help") {
-      std::fputs(cli_spec().help().c_str(), stdout);
-      return 0;
-    }
-    const CliFlag* flag = CliSpec::flag(verb, arg);
-    if (flag == nullptr) return usage();
-    const char* value = nullptr;
-    if (!flag->value.empty()) {
-      if (i + 1 >= argc) return usage();
-      value = argv[++i];
-    }
-    std::uint64_t n = 0;
-    if (arg == "--socket") {
-      config.socket_path = value;
-    } else if (arg == "--job-log") {
-      config.job_log_path = value;
-    } else if (arg == "--replay") {
-      replay_path = value;
-    } else if (arg == "--out") {
-      out_path = value;
-    } else if (arg == "--quiet") {
-      config.quiet = true;
-    } else if (arg == "--prcs" && parse_unsigned(value, 1024, &n) && n > 0) {
-      config.core.prcs = static_cast<unsigned>(n);
-    } else if (arg == "--cg" && parse_unsigned(value, 1024, &n) && n > 0) {
-      config.core.cg = static_cast<unsigned>(n);
-    } else if (arg == "--job-classes" && parse_unsigned(value, 64, &n) &&
-               n > 0) {
-      config.core.job_classes = static_cast<unsigned>(n);
-    } else if (arg == "--max-blocks" && parse_unsigned(value, 100000, &n) &&
-               n > 0) {
-      config.core.max_blocks = static_cast<unsigned>(n);
-    } else if (arg == "--macroblocks" && parse_unsigned(value, 100000, &n) &&
-               n > 0) {
-      config.core.macroblocks = static_cast<unsigned>(n);
-    } else if (arg == "--max-queue" && parse_unsigned(value, 1000000, &n) &&
-               n > 0) {
-      config.core.max_queue = static_cast<std::size_t>(n);
-    } else if (arg == "--retain-jobs" && parse_unsigned(value, 1000000, &n)) {
-      config.core.retain_jobs = static_cast<std::size_t>(n);
-    } else if (arg == "--exit-after" && parse_unsigned(value, 1u << 30, &n)) {
-      config.exit_after_sessions = n;
-    } else {
-      std::fprintf(stderr, "error: invalid value for %s: '%s'\n", arg.c_str(),
-                   value == nullptr ? "" : value);
-      return 2;
-    }
+  CliArgs args = CliSpec::parse(*cli_spec().verb(""), argc, argv, 1);
+  if (args.help) {
+    std::fputs(cli_spec().help().c_str(), stdout);
+    return 0;
   }
+  if (!args.ok() || !args.read_text("--socket", &config.socket_path) ||
+      !args.read_text("--job-log", &config.job_log_path) ||
+      !args.read_text("--replay", &replay_path) ||
+      !args.read_text("--out", &out_path) ||
+      !args.read("--exit-after", 0, 1u << 30, &config.exit_after_sessions)) {
+    return cli_spec().reject(args.error);
+  }
+  for (const ServeConfigField& f : serve_config_fields()) {
+    std::uint64_t value = f.get(config.core);
+    if (!args.read(f.flag, f.lo, f.hi, &value)) {
+      return cli_spec().reject(args.error);
+    }
+    f.set(config.core, value);
+  }
+  config.quiet = args.has("--quiet");
 
   if (!replay_path.empty()) return run_replay(replay_path, out_path);
-  if (config.socket_path.empty()) return usage();
+  if (config.socket_path.empty()) return cli_spec().usage();
 
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
